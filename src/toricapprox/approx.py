@@ -397,7 +397,7 @@ def theorem16_driver(
     from toricapprox.fwps import recognize_fwps, fwps_curve
     from toricapprox.divisor import is_nef
 
-    p_orbit = tuple(sorted(p_orbit))
+    p_orbit = fan.require_cone(p_orbit)
     assert is_nef(fan, d), "the driver needs a nef divisor"
     assumptions = []
     if not assume_canonically_bounded:

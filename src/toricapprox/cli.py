@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from toricapprox import report
 from toricapprox.approx import (
+    ApproxError,
     ArithmeticContext,
     BranchData,
     alpha_rational_curve,
@@ -54,7 +55,7 @@ def _load_divisor(path: str, fan):
     doc = _load_json(path)
     try:
         d = report.divisor_from_doc(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid divisor in {path}: {exc}") from exc
     if len(d.coeffs) != len(fan.rays):
         raise InputError(
@@ -63,10 +64,9 @@ def _load_divisor(path: str, fan):
     return d
 
 
-def _load_orbit(text: str):
+def _load_orbit(text: str, fan):
     try:
-        orbit = json.loads(text)
-        return tuple(sorted(int(i) for i in orbit))
+        return fan.require_cone(int(i) for i in json.loads(text))
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise InputError(f"invalid orbit {text!r}: {exc}") from exc
 
@@ -131,7 +131,7 @@ def cmd_divisor_nef(args) -> int:
 def cmd_mmp_run(args) -> int:
     fan = _load_fan(args.fan)
     d = _load_divisor(args.divisor, fan)
-    orbit = _load_orbit(args.orbit)
+    orbit = _load_orbit(args.orbit, fan)
     if not is_nef(fan, d):
         raise InputError("the divisor is not nef")
     chain = run_mmp_chain(fan, d, orbit)
@@ -141,7 +141,7 @@ def cmd_mmp_run(args) -> int:
 
 def cmd_curve_find(args) -> int:
     fan = _load_fan(args.fan)
-    orbit = _load_orbit(args.orbit)
+    orbit = _load_orbit(args.orbit, fan)
     try:
         data = recognize_fwps(fan)
         cert = fwps_curve(data, orbit)
@@ -154,7 +154,7 @@ def cmd_curve_find(args) -> int:
 def cmd_alpha(args) -> int:
     fan = _load_fan(args.fan)
     d = _load_divisor(args.divisor, fan)
-    orbit = _load_orbit(args.orbit)
+    orbit = _load_orbit(args.orbit, fan)
     try:
         data = recognize_fwps(fan)
         cert = fwps_curve(data, orbit)
@@ -190,7 +190,7 @@ def cmd_theorem_run(args) -> int:
         return EXIT_ASSUMPTION
     fan = _load_fan(args.fan)
     d = _load_divisor(args.divisor, fan)
-    orbit = _load_orbit(args.orbit)
+    orbit = _load_orbit(args.orbit, fan)
     context = _load_context(args.context)
     if not is_nef(fan, d):
         raise InputError("the divisor is not nef")
@@ -206,6 +206,13 @@ def cmd_casestudy(args) -> int:
 
     context = _load_context(args.context)
     if args.subject == "p4713":
+        # The verdict turns on sqrt(-3); refuse before the long computation.
+        try:
+            context.lookup(-3)
+        except ApproxError as exc:
+            raise InputError(
+                f"casestudy p4713 needs a --context declaring d = -3: {exc}"
+            ) from exc
         rep = casestudy_p4713(context)
         _emit(report.casestudy_to_doc(rep), args.format)
         return EXIT_OK

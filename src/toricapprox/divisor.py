@@ -10,17 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Optional, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Sequence
 
-from toricapprox.fan import Cone, ConeNotInFan, Fan, star_fan
+from toricapprox.fan import Cone, Fan, star_fan
 from toricapprox.lattice import primitive_part, quotient_lattice
-from toricapprox.linalg import (
-    clear_denominators,
-    nullspace,
-    solve_general,
-    vec_dot,
-)
+from toricapprox.linalg import solve_general, vec_dot
 
 
 class DivisorError(ValueError):
@@ -107,17 +103,22 @@ class SupportFunction:
 
 @lru_cache(maxsize=None)
 def support_function(fan: Fan, d: TorusDivisor) -> SupportFunction:
-    """The unique function linear on each maximal cone with value d_i at v_i."""
+    """The unique function linear on each maximal cone with value d_i at v_i.
+
+    With D and R = D·M^-1 the cone's integer inverse, u_sigma = R^T·d / D.
+    """
+    n = fan.rank
     functionals = []
     denom = 1
-    for c in fan.max_cones:
-        rows = [fan.rays[i] for i in c]
+    for k, c in enumerate(fan.max_cones):
+        det, adj = fan.cone_inverse(k)
         target = [d.coeffs[i] for i in c]
-        u = solve_general(rows, target)
-        assert u is not None
-        functionals.append(tuple(u))
+        u = tuple(
+            Fraction(sum(map(mul, adj[j::n], target)), det) for j in range(n)
+        )
+        functionals.append(u)
         for x in u:
-            denom = lcm(denom, Fraction(x).denominator)
+            denom = lcm(denom, x.denominator)
     return SupportFunction(fan, d, tuple(functionals), denom)
 
 
@@ -151,24 +152,18 @@ def wall_curves(fan: Fan) -> tuple:
     for wall, ca, cb in fan.walls:
         off_a = next(i for i in ca if i not in wall)
         off_b = next(i for i in cb if i not in wall)
-        involved = [off_a, off_b] + list(wall)
-        cols = tuple(
-            tuple(fan.rays[i][r] for i in involved) for r in range(fan.rank)
-        )
-        kern = nullspace(cols)
-        assert len(kern) == 1, "wall rays admit a unique relation"
-        rel_local = clear_denominators(kern[0])
-        if rel_local[0] < 0:
-            rel_local = tuple(-x for x in rel_local)
-        assert rel_local[0] > 0 and rel_local[1] > 0, (
+        # D·v_b = sum_i (R·v_b)_i v_i over cone_a's rays.
+        det, scaled = fan.scaled_coefficients(ca, fan.rays[off_b])
+        relation = [0] * len(fan.rays)
+        relation[off_b] = det
+        for i, x in zip(ca, scaled):
+            relation[i] = -x
+        g = gcd(*relation)
+        relation = tuple(x // g for x in relation)
+        assert relation[off_a] > 0 and relation[off_b] > 0, (
             "off-wall coefficients must be positive across a genuine wall"
         )
-        relation = [0] * len(fan.rays)
-        for idx, i in enumerate(involved):
-            relation[i] = rel_local[idx]
-        out.append(
-            WallCurve(wall, ca, cb, off_a, off_b, tuple(relation))
-        )
+        out.append(WallCurve(wall, ca, cb, off_a, off_b, relation))
     return tuple(out)
 
 
@@ -245,9 +240,7 @@ class OnePsCurve:
 
 
 def make_one_ps(fan: Fan, tau: Sequence, w: Sequence) -> OnePsCurve:
-    tau = tuple(sorted(tau))
-    if not fan.has_cone(tau):
-        raise ConeNotInFan(f"{tau} is not a cone of the fan")
+    tau = fan.require_cone(tau)
     if all(x == 0 for x in w):
         raise ZeroWeight("1-parameter subgroup weight must be nonzero")
     return OnePsCurve(tau, primitive_part(w))

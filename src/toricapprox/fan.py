@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import gcd, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from toricapprox.lattice import (
     QuotientMap,
-    is_primitive,
     primitive_part,
     quotient_lattice,
     smith_normal_form,
@@ -26,12 +26,11 @@ from toricapprox.lattice import (
 )
 from toricapprox.linalg import (
     clear_denominators,
-    cone_extreme_rays,
-    det,
+    det_adjugate,
     mat_vec,
     nullspace,
     solve_general,
-    solve_square,
+    unimodular_inverse,
 )
 
 Cone = tuple
@@ -93,6 +92,32 @@ class Fan:
             tuple(self.rays[i][r] for i in cone) for r in range(self.rank)
         )
 
+    @cached_property
+    def cone_inverses(self) -> tuple:
+        """Per maximal cone, D = |det M| then R = D·M^-1 row-major, for M
+        the cone's ray matrix: <R_i, v_j> = D·delta_ij.  One flat int tuple
+        keeps the fans held by caches small; build_fan fills it."""
+        return tuple(
+            x for c in self.max_cones for x in _cone_inverse(self.rays, c)
+        )
+
+    def cone_inverse(self, k: int) -> tuple:
+        """(D, R) of the k-th maximal cone; R is flat row-major."""
+        w = self.rank * self.rank + 1
+        table = self.cone_inverses
+        return table[k * w], table[k * w + 1:(k + 1) * w]
+
+    def scaled_coefficients(self, cone: Cone, point: Sequence):
+        """(D, R·point) for a maximal cone, whose barycentric coefficients
+        are R·point / D; None for any other cone."""
+        if len(cone) != self.rank or cone not in self.max_cones:
+            return None
+        d, adj = self.cone_inverse(self.max_cones.index(cone))
+        n = self.rank
+        return d, [
+            sum(map(mul, adj[s:s + n], point)) for s in range(0, n * n, n)
+        ]
+
     def cone_coefficients(self, cone: Cone, point: Sequence) -> Optional[tuple]:
         """Barycentric coefficients of point in the cone, or None.
 
@@ -100,13 +125,15 @@ class Fan:
         point lies in the rational span of the cone's rays (all lam_i >= 0
         iff the point is in the cone); None if the point is off the span.
         """
-        if not cone:
-            return () if all(x == 0 for x in point) else None
-        a = self.ray_matrix(cone)
-        return solve_general(a, point)
+        scaled = self.scaled_coefficients(cone, point)
+        if scaled is None:
+            return solve_general(self.ray_matrix(cone), point)
+        d, num = scaled
+        return tuple(Fraction(x, d) for x in num)
 
     def contains(self, cone: Cone, point: Sequence) -> bool:
-        lam = self.cone_coefficients(cone, point)
+        scaled = self.scaled_coefficients(cone, point)
+        lam = scaled[1] if scaled else self.cone_coefficients(cone, point)
         return lam is not None and all(x >= 0 for x in lam)
 
     def cone_containing(self, point: Sequence) -> Optional[Cone]:
@@ -121,6 +148,13 @@ class Fan:
         s = set(cone)
         return any(s <= set(c) for c in self.max_cones)
 
+    def require_cone(self, cone: Sequence) -> Cone:
+        """The cone as a sorted index tuple; ConeNotInFan if it is none."""
+        cone = tuple(sorted(cone))
+        if not self.has_cone(cone):
+            raise ConeNotInFan(f"{cone} is not a cone of the fan")
+        return cone
+
     def ray_index(self, v: Sequence) -> Optional[int]:
         v = tuple(v)
         for i, r in enumerate(self.rays):
@@ -129,30 +163,16 @@ class Fan:
         return None
 
 
-def _validate_pairwise_faces(rank, rays, max_cones):
-    """Any two maximal cones must intersect in the cone of their common rays."""
-
-    def ineq_rows(cone):
-        # x in cone  <=>  M^{-1} x >= 0 where M has the rays as columns.
-        m = tuple(tuple(rays[i][r] for i in cone) for r in range(rank))
-        rows = []
-        for k in range(rank):
-            e = [Fraction(0)] * rank
-            e[k] = Fraction(1)
-            # row k of M^{-1}: solve M^T y = e_k
-            y = solve_square(tuple(zip(*m)), e)
-            rows.append(clear_denominators(y))
-        return rows
-
-    cached = {c: ineq_rows(c) for c in max_cones}
-    for a, b in combinations(max_cones, 2):
-        common = sorted(set(a) & set(b))
-        extreme = cone_extreme_rays(cached[a] + cached[b], [], rank)
-        expected = {primitive_part(rays[i]) for i in common}
-        if {tuple(v) for v in extreme} != expected:
-            raise NotAFan(
-                f"cones {a} and {b} do not intersect in a common face"
-            )
+def _cone_inverse(rays, cone) -> tuple:
+    """(D, R flat) with D = |det M| and R = D·M^-1 for the cone's ray matrix
+    M; D = 0 when the rays are dependent."""
+    d, adj = det_adjugate(
+        [[rays[i][r] for i in cone] for r in range(len(cone))]
+    )
+    if d == 0:
+        return (0,)
+    s = 1 if d > 0 else -1
+    return (s * d,) + tuple(s * x for row in adj for x in row)
 
 
 def build_fan(rank: int, rays: Sequence, max_cones: Sequence) -> Fan:
@@ -161,6 +181,30 @@ def build_fan(rank: int, rays: Sequence, max_cones: Sequence) -> Fan:
     Ray vectors are replaced by their primitive parts.  Rejects
     non-simplicial cones (NotSimplicial), missing support (NotComplete),
     and overlapping or face-incompatible cones (NotAFan).
+
+    Validation is the pseudomanifold-plus-one-point certificate for
+    triangulations (De Loera, Rambau and Santos, *Triangulations*, 2010,
+    ch. 4), applied to the cross-section of the fan on the unit sphere:
+
+    1. every wall ((rank-1)-face of a maximal cone) lies on exactly two
+       maximal cones (else NotComplete or NotAFan);
+    2. the two off-wall rays lie strictly on opposite sides of the wall's
+       hyperplane (else NotAFan);
+    3. one generic point of the first cone, on no facet hyperplane of any
+       cone, lies in exactly one maximal cone (else NotAFan).
+
+    Sketch.  Let f(x) count the maximal cones containing a point x on no
+    facet hyperplane.  On a path avoiding the (rank-2)-faces (codimension 2
+    on the sphere) every facet crossed is a wall whose other cone lies
+    across it (1, 2), so one cone is entered for each one left and f stays
+    constant; by 3, f = 1: the cones cover the space and their interiors
+    are disjoint.  The cones around a (rank-2)-face form cycles winding
+    about it (1, 2), and local degree 1 leaves one cycle winding once; by
+    induction down the face dimensions the abstract complex maps to the
+    sphere by a covering of degree 1, a homeomorphism, so any two cones meet
+    in the cone over their common rays.  Every complete simplicial fan
+    passes 1-3.  All three are sign tests against the cones' integer
+    inverses (`Fan.cone_inverses`), one fraction-free elimination per cone.
     """
     if rank == 0:
         return Fan(0, (), ((),), ())
@@ -170,6 +214,7 @@ def build_fan(rank: int, rays: Sequence, max_cones: Sequence) -> Fan:
     cones = tuple(tuple(sorted(c)) for c in max_cones)
     if len(set(cones)) != len(cones):
         raise NotAFan("duplicate maximal cones")
+    table = []
     for c in cones:
         if len(c) != rank:
             raise NotSimplicial(
@@ -177,15 +222,15 @@ def build_fan(rank: int, rays: Sequence, max_cones: Sequence) -> Fan:
             )
         if any(i < 0 or i >= len(prim) for i in c):
             raise NotAFan(f"cone {c} references a missing ray")
-        m = tuple(tuple(prim[i][r] for i in c) for r in range(rank))
-        if det(m) == 0:
+        inverse = _cone_inverse(prim, c)
+        if inverse[0] == 0:
             raise NotSimplicial(f"rays of cone {c} are dependent")
+        table.extend(inverse)
     used = {i for c in cones for i in c}
     if used != set(range(len(prim))):
         raise NotAFan("unused rays in ray table")
 
-    # Wall regularity: every (rank-1)-face of a maximal cone must be shared
-    # by exactly two maximal cones — the combinatorial shadow of completeness.
+    # 1. Every wall lies on exactly two maximal cones.
     incidence = {}
     for c in cones:
         for w in combinations(c, rank - 1):
@@ -200,13 +245,48 @@ def build_fan(rank: int, rays: Sequence, max_cones: Sequence) -> Fan:
         a, b = sorted(owners)
         walls.append((w, a, b))
 
-    _validate_pairwise_faces(rank, prim, cones)
+    # normals[k·rank + p]: row p of cone k's inverse, the normal of the
+    # facet opposite the cone's p-th ray, positive on that ray.
+    width = rank * rank + 1
+    normals = [
+        table[k * width + 1 + p * rank:k * width + 1 + (p + 1) * rank]
+        for k in range(len(cones)) for p in range(rank)
+    ]
+    index = {c: k for k, c in enumerate(cones)}
+
+    # 2. The off-wall rays lie strictly on opposite sides of the wall.
+    for w, a, b in walls:
+        pos = next(p for p, i in enumerate(a) if i not in w)
+        off_b = next(i for i in b if i not in w)
+        if sum(map(mul, normals[index[a] * rank + pos], prim[off_b])) >= 0:
+            raise NotAFan(
+                f"cones {a} and {b} lie on the same side of wall {w}"
+            )
+
+    # 3. A generic point of the first cone lies in exactly one cone.  The
+    # point sum t^j v_j is off a hyperplane for all but rank-1 values of t.
+    t = 1
+    while True:
+        t += 1
+        point = [
+            sum(t ** j * prim[i][r] for j, i in enumerate(cones[0]))
+            for r in range(rank)
+        ]
+        signs = [sum(map(mul, row, point)) for row in normals]
+        if all(signs):
+            break
+    covering = sum(
+        all(x > 0 for x in signs[k * rank:(k + 1) * rank])
+        for k in range(len(cones))
+    )
+    if covering != 1:
+        raise NotAFan(
+            f"a generic point of cone {cones[0]} lies in {covering} "
+            "maximal cones"
+        )
 
     fan = Fan(rank, prim, cones, tuple(walls))
-    # Probe completeness directly on a deterministic grid of directions.
-    for probe in product((-1, 0, 1), repeat=rank):
-        if any(probe) and fan.cone_containing(probe) is None:
-            raise NotComplete(f"direction {probe} is not covered")
+    object.__setattr__(fan, "cone_inverses", tuple(table))
     return fan
 
 
@@ -257,46 +337,35 @@ def cone_multiplicity(fan: Fan, cone: Cone) -> int:
 
     Equals 1 exactly when the corresponding chart is smooth.
     """
-    cone = tuple(sorted(cone))
-    if not fan.has_cone(cone):
-        raise ConeNotInFan(f"{cone} is not a cone of the fan")
+    cone = fan.require_cone(cone)
     if not cone:
         return 1
     diag, _, _ = smith_normal_form([fan.rays[i] for i in cone])
     return prod(d for d in diag if d != 0)
 
 
-def _cone_interior_points(fan: Fan, cone: Cone):
-    """Nonzero lattice points of conv({0} union rays) besides the rays.
+def _has_interior_points(fan: Fan, k: int) -> bool:
+    """Whether the k-th maximal cone's simplex conv({0} union rays) holds a
+    lattice point besides 0 and the rays.
 
-    Enumerates the finite group N / (ray lattice) via Smith normal form and
-    tests each nonzero class through its fractional barycentric coordinates:
-    a class with coordinate sum <= 1 is such a point.
+    Enumerates the finite group N / (ray lattice) via Smith normal form.  A
+    class x = u^-1·y has barycentric coordinates adj·x / d; it is such a
+    point iff their fractional parts, the residues of adj·x mod d over d,
+    are not all zero and sum to at most 1.
     """
     n = fan.rank
-    cols = fan.ray_matrix(cone)
-    diag, u, _ = smith_normal_form(cols)
-    m = prod(diag)
-    found = []
-    if m == 1:
-        return found
-    # Solve u·x = y for each group representative y with y_i in [0, d_i).
-    uinv_cols = [solve_square(u, [1 if r == j else 0 for r in range(n)])
-                 for j in range(n)]
-    for y in product(*(range(d) for d in diag)):
-        if not any(y):
-            continue
-        x = tuple(
-            int(sum(uinv_cols[j][r] * y[j] for j in range(n))) for r in range(n)
-        )
-        lam = solve_square(cols, x)
-        t = tuple(c - (c.numerator // c.denominator) for c in lam)  # frac part
-        if any(t) and sum(t) <= 1:
-            lifted = tuple(
-                sum(t[j] * cols[r][j] for j in range(n)) for r in range(n)
-            )
-            found.append(tuple(int(c) for c in lifted))
-    return found
+    d, adj = fan.cone_inverse(k)
+    if d == 1:
+        return False
+    diag, u, _ = smith_normal_form(fan.ray_matrix(fan.max_cones[k]))
+    uinv = unimodular_inverse(u)
+    rows = [adj[i * n:(i + 1) * n] for i in range(n)]
+    for y in product(*(range(e) for e in diag)):
+        x = mat_vec(uinv, y)
+        t = [sum(map(mul, row, x)) % d for row in rows]
+        if any(t) and sum(t) <= d:
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)
@@ -306,11 +375,10 @@ def is_terminal(fan: Fan):
 
     Returns (bool, tuple of offending maximal cones).
     """
-    bad = []
-    for c in fan.max_cones:
-        if _cone_interior_points(fan, c):
-            bad.append(c)
-    return (not bad, tuple(bad))
+    bad = tuple(
+        c for k, c in enumerate(fan.max_cones) if _has_interior_points(fan, k)
+    )
+    return (not bad, bad)
 
 
 @dataclass(frozen=True)
@@ -338,8 +406,7 @@ def star_fan(fan: Fan, tau: Cone) -> StarFanResult:
 
 @lru_cache(maxsize=None)
 def _star_fan_cached(fan: Fan, tau: Cone) -> StarFanResult:
-    if not fan.has_cone(tau):
-        raise ConeNotInFan(f"{tau} is not a cone of the fan")
+    fan.require_cone(tau)
     if not tau:
         quot = quotient_lattice([], fan.rank)
         ray_map = {i: i for i in range(len(fan.rays))}
@@ -382,8 +449,8 @@ def star_subdivision(fan: Fan, new_ray: Sequence[int]):
     replaced = {}
     new_cones = []
     for c in fan.max_cones:
-        lam = fan.cone_coefficients(c, v)
-        if lam is None or any(x < 0 for x in lam):
+        _, lam = fan.scaled_coefficients(c, v)
+        if min(lam) < 0:
             new_cones.append(c)
             continue
         pieces = []
@@ -446,13 +513,9 @@ def recognize_fwps(fan: Fan) -> FwpsData:
     diag, u, _ = smith_normal_form(cols)
     index = prod(diag)
     # Basis of the ray-generated sublattice N' as columns: B = u^{-1}·diag(d).
-    uinv_cols = [solve_square(u, [1 if r == j else 0 for r in range(n)])
-                 for j in range(n)]
-    basis_cols = [
-        tuple(int(uinv_cols[j][r] * diag[j]) for r in range(n)) for j in range(n)
-    ]
+    uinv = unimodular_inverse(u)
     cover_to_ambient = tuple(
-        tuple(basis_cols[j][r] for j in range(n)) for r in range(n)
+        tuple(uinv[r][j] * diag[j] for j in range(n)) for r in range(n)
     )
     ambient_to_cover = tuple(
         tuple(Fraction(u[j][r], diag[j]) for r in range(n)) for j in range(n)

@@ -28,7 +28,12 @@ from toricapprox.fan import (
     star_fan,
 )
 from toricapprox.lattice import primitive_part, _quotient_by_span
-from toricapprox.linalg import mat_vec, solve_general, vec_dot
+from toricapprox.linalg import (
+    mat_vec,
+    solve_general,
+    unimodular_inverse,
+    vec_dot,
+)
 from toricapprox.divisor import (
     OnePsCurve,
     TorusDivisor,
@@ -177,7 +182,7 @@ def wps_curve_all_leq1(fan: Fan, p_orbit: Sequence = ()) -> CurveCertificate:
     data = recognize_fwps(fan)
     if data.cover_index != 1:
         raise NotWps(f"cover index {data.cover_index} != 1")
-    p_orbit = tuple(sorted(p_orbit))
+    p_orbit = fan.require_cone(p_orbit)
     weights = data.weights
     a0 = max(weights)
     i0 = weights.index(a0)
@@ -391,7 +396,7 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
     """
     fan = data.fan
     n = fan.rank
-    p_orbit = tuple(sorted(p_orbit))
+    p_orbit = fan.require_cone(p_orbit)
     if data.cover_index == 1:
         cert = wps_curve_all_leq1(fan, p_orbit)
         if is_terminal(fan)[0] and not is_projective_space(fan):
@@ -491,19 +496,13 @@ def _intermediate_quotient(data: FwpsData, p: int) -> _Intermediate:
     # Basis of N'' = Z-span of (cover basis columns) + xi, via the Smith
     # form of the generator matrix: col span of A = col span of U^{-1}·D.
     from toricapprox.lattice import smith_normal_form
-    from toricapprox.linalg import solve_square
 
     gens = [tuple(col) for col in zip(*data.cover_to_ambient)] + [tuple(xi)]
     cols = tuple(tuple(g[r] for g in gens) for r in range(n))
     diag, u, _ = smith_normal_form(cols)
-    uinv_cols = [
-        solve_square(u, [1 if r == k else 0 for r in range(n)]) for k in range(n)
-    ]
-    basis_cols = [
-        tuple(int(uinv_cols[k][r] * diag[k]) for r in range(n)) for k in range(n)
-    ]
+    uinv = unimodular_inverse(u)
     to_ambient = tuple(
-        tuple(basis_cols[k][r] for k in range(n)) for r in range(n)
+        tuple(uinv[r][k] * diag[k] for k in range(n)) for r in range(n)
     )
     # Rays of W in N'' coordinates.
     new_rays = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from toricapprox.linalg import identity, mat_mul, mat_vec, rank, solve_general
+from toricapprox.linalg import identity, mat_vec, rank, unimodular_inverse
 
 
 class LatticeError(ValueError):
@@ -184,13 +184,7 @@ def _quotient_by_span(gens: Sequence[Sequence[int]], ambient_rank: int) -> Quoti
     proj = tuple(u[k:])
     # u is unimodular; invert it exactly to read off kernel basis and section.
     n = ambient_rank
-    uinv_cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        sol = solve_general(u, e)
-        uinv_cols.append(tuple(int(x) for x in sol))
-    uinv = tuple(zip(*uinv_cols))  # rows of u^{-1}
+    uinv = unimodular_inverse(u)
     kernel_basis = tuple(tuple(uinv[i][j] for i in range(n)) for j in range(k))
     lift = tuple(tuple(uinv[i][k + j] for j in range(q)) for i in range(n))
     return QuotientMap(proj, q, kernel_basis, lift)

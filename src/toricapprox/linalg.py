@@ -9,24 +9,11 @@ favour clarity over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Sequence
 
 Vec = tuple
 Mat = tuple
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a, b):
@@ -42,71 +29,78 @@ def mat_mul(a: Sequence, b: Sequence):
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
-def mat_transpose(m: Sequence):
-    return tuple(zip(*m))
-
-
 def identity(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def det(m: Sequence) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination, exact."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def det(m: Sequence) -> int:
+    """Determinant of a square integer matrix."""
+    return det_adjugate(m)[0]
+
+
+def _rref(m: list, cols: int) -> list:
+    """Gauss-Jordan over Fractions, in place, on the first cols columns of
+    the rows m; pivot rows are scaled to 1.  Returns the pivot columns."""
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    d = Fraction(sign)
-    for i in range(n):
-        d *= a[i][i]
-    return d
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots
 
 
 def rank(m: Sequence) -> int:
     rows = [[Fraction(x) for x in row] for row in m]
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    return len(_rref(rows, len(rows[0]) if rows else 0))
 
 
-def solve_square(a: Sequence, b: Sequence):
-    """Solve a·x = b for square nonsingular a; returns None if singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def det_adjugate(m: Sequence):
+    """(det m, adj m) of a square integer matrix, by fraction-free elimination.
+
+    Bareiss's Gauss-Jordan variant on [m | I]: every intermediate entry is a
+    minor of the augmented matrix, so each division is exact and no Fraction
+    is made.  On exit the left block is p·I and the right block p·m^-1, with
+    p the last pivot, which is det m up to the sign of the row swaps.
+    Returns (0, None) when m is singular.
+    """
+    n = len(m)
+    a = [
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)
+    ]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [
+                    (p * x - f * y) // prev for x, y in zip(a[i], pivot_row)
+                ]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def unimodular_inverse(u: Sequence) -> tuple:
+    """Exact integer inverse of a matrix with determinant +-1 (rows)."""
+    d, adj = det_adjugate(u)
+    assert d in (1, -1), "matrix is not unimodular"
+    return tuple(tuple(d * x for x in row) for row in adj)
 
 
 def solve_general(a: Sequence, b: Sequence):
@@ -114,27 +108,11 @@ def solve_general(a: Sequence, b: Sequence):
 
     Returns None when inconsistent.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    cols = len(a[0]) if a else 0
     aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
+    pivots = _rref(aug, cols)
+    if any(row[cols] != 0 for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
     for i, col in enumerate(pivots):
         x[col] = aug[i][cols]
@@ -143,27 +121,13 @@ def solve_general(a: Sequence, b: Sequence):
 
 def nullspace(a: Sequence):
     """Basis of the rational kernel of a (list of Fraction tuples)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    cols = len(a[0]) if a else 0
     m = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
+    pivots = _rref(m, cols)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -247,31 +211,3 @@ def nonneg_combination(columns: Sequence, target: Sequence):
         if basis[i] < n:
             x[basis[i]] = tab[i][-1]
     return tuple(x)
-
-
-def cone_extreme_rays(inequalities: Sequence, equalities: Sequence, dim: int):
-    """Extreme rays of {x : A_ineq x >= 0, A_eq x = 0} for a pointed cone.
-
-    Enumerates candidate rays as kernels of (dim-1)-subsets of the active
-    constraint set; adequate for the handful of constraints fan validation
-    needs.  Returns primitive integer generators, deduplicated.
-    """
-    cons = [tuple(row) for row in inequalities]
-    eqs = [tuple(row) for row in equalities]
-    found = {}
-    n_eq = len(eqs)
-    need = dim - 1 - rank(eqs) if eqs else dim - 1
-    if need < 0:
-        need = 0
-    for subset in combinations(range(len(cons)), need):
-        system = eqs + [cons[i] for i in subset]
-        kern = nullspace(system) if system else [tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim)) for i in range(dim)]
-        if len(kern) != 1:
-            continue
-        v = clear_denominators(kern[0])
-        for cand in (v, tuple(-x for x in v)):
-            if all(vec_dot(row, cand) >= 0 for row in cons) and all(
-                vec_dot(row, cand) == 0 for row in eqs
-            ):
-                found[cand] = True
-    return list(found.keys())

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from toricapprox.fan import (
     Cone,
-    ConeNotInFan,
     Fan,
     build_fan,
     star_subdivision,
@@ -483,9 +482,7 @@ def run_mmp_chain(
     D + aK forward and transporting P's orbit cone (the identity on ray
     sets away from exc).
     """
-    p_orbit = tuple(sorted(p_orbit))
-    if not fan.has_cone(p_orbit):
-        raise ConeNotInFan(f"{p_orbit} is not a cone of the fan")
+    p_orbit = fan.require_cone(p_orbit)
     assert is_nef(fan, d), "the MMP runner needs a nef divisor"
     budget = max_steps if max_steps is not None else 10 * len(fan.rays)
     steps = []

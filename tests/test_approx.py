@@ -17,7 +17,7 @@ from toricapprox.approx import (
     transport_curve,
 )
 from toricapprox.divisor import TorusDivisor, one_ps_degree
-from toricapprox.fan import projective_space_fan, star_subdivision
+from toricapprox.fan import ConeNotInFan, projective_space_fan, star_subdivision
 from toricapprox.mmp import (
     DIVISORIAL,
     MORI_FIBER,
@@ -194,3 +194,12 @@ def test_driver_alpha_equals_degree_over_rm(wps4713):
     # Driver curves are unibranch through a rational point: m = r = 1.
     assert res.branches.branches == ((1, 1),)
     assert res.alpha == res.degree
+
+
+def test_driver_rejects_non_cone_orbit(p2):
+    # Used to report alpha = 1 for the ray set (0, 1, 2), which is no cone.
+    with pytest.raises(ConeNotInFan):
+        theorem16_driver(
+            p2, TorusDivisor.of([1, 0, 0]), (0, 1, 2),
+            assume_canonically_bounded=True,
+        )

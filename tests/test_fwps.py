@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from toricapprox.divisor import TorusDivisor, one_ps_degree
-from toricapprox.fan import build_fan, recognize_fwps, wps_fan
+from toricapprox.fan import ConeNotInFan, build_fan, recognize_fwps, wps_fan
 from toricapprox.fwps import (
     FwpsError,
     IsProjectiveSpace,
@@ -220,3 +220,16 @@ def test_certificate_intersections_sum(wps4713, p2_mu3):
         cert = fwps_curve(data, ())
         assert sum(cert.intersections) == cert.minus_k
         assert cert.minus_k <= cert.bound
+
+
+def test_fwps_curve_rejects_non_cone_orbit(p2):
+    # (0, 1, 2) is a set of rays of P^2 but not a cone of its fan.
+    with pytest.raises(ConeNotInFan):
+        fwps_curve(recognize_fwps(p2), (0, 1, 2))
+
+
+def test_wps_curve_all_leq1_rejects_non_cone_orbit(p2, wps4713):
+    with pytest.raises(ConeNotInFan):
+        wps_curve_all_leq1(p2, (0, 1, 2))
+    with pytest.raises(ConeNotInFan):
+        wps_curve_all_leq1(wps4713, (3,))

@@ -176,3 +176,41 @@ def test_cli_casestudy_search_small(capsys):
 
 def test_cli_bad_verb_exit_3(capsys):
     assert main(["no-such-verb"]) == EXIT_INPUT
+
+
+def _input_error(capsys) -> str:
+    """The stderr error document of an exit-3 run; no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return json.loads(err)["error"]
+
+
+def test_cli_non_cone_orbit_exit_3(p2_files, capsys):
+    fan, div = p2_files
+    assert main(["curve-find", "--fan", fan, "--orbit", "[0,1,2]"]) == EXIT_INPUT
+    assert "not a cone" in _input_error(capsys)
+    code = main(
+        ["theorem-run", "--fan", fan, "--divisor", div, "--orbit", "[0,1,2]",
+         "--assume-cb"]
+    )
+    assert code == EXIT_INPUT
+    assert "not a cone" in _input_error(capsys)
+
+
+def test_cli_mmp_run_missing_ray_orbit_exit_3(p2_files, capsys):
+    fan, div = p2_files
+    code = main(["mmp-run", "--fan", fan, "--divisor", div, "--orbit", "[5]"])
+    assert code == EXIT_INPUT
+    assert "not a cone" in _input_error(capsys)
+
+
+def test_cli_divisor_zero_denominator_exit_3(p2_files, tmp_path, capsys):
+    fan, _ = p2_files
+    bad = _write(tmp_path, "bad.json", ["1/0", "0", "0"])
+    assert main(["divisor-nef", "--fan", fan, "--divisor", bad]) == EXIT_INPUT
+    assert "invalid divisor" in _input_error(capsys)
+
+
+def test_cli_casestudy_without_context_exit_3(capsys):
+    assert main(["casestudy", "p4713"]) == EXIT_INPUT
+    assert "--context" in _input_error(capsys)
