@@ -9,11 +9,11 @@ alpha value and assumption ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from toricapprox.fan import Fan, is_projective_space, star_fan
+from toricapprox.fan import Fan, is_projective_space
 from toricapprox.divisor import (
     OnePsCurve,
     TorusDivisor,
@@ -32,7 +32,6 @@ from toricapprox.fwps import (
 from toricapprox.mmp import (
     DIVISORIAL,
     FLIP,
-    MORI_FIBER,
     ContractionResult,
     FlipResult,
     MmpChain,
@@ -176,8 +175,10 @@ class Lemma42Record:
     """One instance of the a-value comparison alpha(D) = alpha(D+aK) + a·(-K·C).
 
     The displayed chain bound needs (-K·C)/m <= dim; bound_holds records
-    whether it does (it can fail only on projective space itself, where the
-    driver argues directly instead)."""
+    whether it does.  It can fail on projective space itself, where the
+    driver argues directly instead, and on a non-terminal input, whose fake
+    weighted projective space curve is only guaranteed -K·C <= dim + 1 (the
+    driver records that input's non-terminal assumption)."""
 
     a: Fraction
     d_degree: Fraction
@@ -394,7 +395,6 @@ def theorem16_driver(
     canonical boundedness, which is recorded, never verified.
     """
     from toricapprox.fan import is_terminal
-    from toricapprox.fwps import recognize_fwps, fwps_curve
     from toricapprox.divisor import is_nef
 
     p_orbit = fan.require_cone(p_orbit)
@@ -443,9 +443,11 @@ def theorem16_driver(
     ledger = [
         lemma42_ledger(cert, term.divisor, term.a, term.fan.rank)
     ]
-    assert ledger[0].bound_holds or is_projective_space(term.fan), (
-        "the a-value comparison bound must hold off projective space"
-    )
+    assert (
+        ledger[0].bound_holds
+        or is_projective_space(term.fan)
+        or not terminal_ok
+    ), "the a-value comparison bound must hold off projective space"
     for step in reversed(chain.steps[:-1]):
         if step.kind == DIVISORIAL and is_projective_space(step.result.target):
             cert = pn_blowup_line(step.result, step.p_orbit)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from toricapprox import report
 from toricapprox.approx import (
@@ -65,9 +64,16 @@ def _load_divisor(path: str, fan):
 
 
 def _load_orbit(text: str, fan):
+    """A JSON list of distinct ray indices that spans a cone of the fan."""
     try:
-        return fan.require_cone(int(i) for i in json.loads(text))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        orbit = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid orbit {text!r}: {exc}") from exc
+    if not isinstance(orbit, list) or any(type(i) is not int for i in orbit):
+        raise InputError(f"invalid orbit {text!r}: not a list of ray indices")
+    try:
+        return fan.require_cone(orbit)
+    except FanError as exc:
         raise InputError(f"invalid orbit {text!r}: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from operator import mul
 from typing import Sequence
 
 from toricapprox.fan import Cone, Fan, star_fan
-from toricapprox.lattice import primitive_part, quotient_lattice
+from toricapprox.lattice import primitive_part
 from toricapprox.linalg import solve_general, vec_dot
 
 
@@ -129,7 +129,9 @@ class WallCurve:
     wall: (rank-1)-cone; cone_a, cone_b: the two adjacent maximal cones;
     relation: integer coefficients b over all rays with sum b_i v_i = 0,
     primitive, zero off the two adjacent cones, positive on the two
-    off-wall rays (off_a in cone_a, off_b in cone_b).
+    off-wall rays (off_a in cone_a, off_b in cone_b); beta_a, beta_b: the
+    index of the image of v_off_a, v_off_b in the rank-1 lattice
+    N / sat(span(wall)).
     """
 
     wall: Cone
@@ -138,6 +140,8 @@ class WallCurve:
     off_a: int
     off_b: int
     relation: tuple
+    beta_a: int
+    beta_b: int
 
     @property
     def negative_rays(self) -> tuple:
@@ -147,7 +151,22 @@ class WallCurve:
 
 @lru_cache(maxsize=None)
 def wall_curves(fan: Fan) -> tuple:
-    """One WallCurve per wall of the fan, in lexicographic wall order."""
+    """One WallCurve per wall of the fan, in lexicographic wall order.
+
+    The row of a cone's integer inverse R = D·M^-1 for its off-wall ray
+    vanishes on the wall and pairs to D with that ray, so the ray's image
+    in N / sat(span(wall)) has index beta = D / gcd(row) (the row holds the
+    wall's maximal minors; Cox, Little and Schenck, *Toric Varieties*,
+    section 6.4).
+    """
+    n = fan.rank
+    index = {c: k for k, c in enumerate(fan.max_cones)}
+
+    def beta(cone, off):
+        det, adj = fan.cone_inverse(index[cone])
+        p = cone.index(off) * n
+        return det // gcd(*adj[p:p + n])
+
     out = []
     for wall, ca, cb in fan.walls:
         off_a = next(i for i in ca if i not in wall)
@@ -163,21 +182,11 @@ def wall_curves(fan: Fan) -> tuple:
         assert relation[off_a] > 0 and relation[off_b] > 0, (
             "off-wall coefficients must be positive across a genuine wall"
         )
-        out.append(WallCurve(wall, ca, cb, off_a, off_b, relation))
+        out.append(WallCurve(
+            wall, ca, cb, off_a, off_b, relation,
+            beta(ca, off_a), beta(cb, off_b),
+        ))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _off_ray_index_in_quotient(fan: Fan, wall: Cone, ray: int) -> int:
-    """|image of v_ray| in the rank-1 lattice N / sat(span(wall))."""
-    if wall:
-        quot = quotient_lattice([fan.rays[i] for i in wall], fan.rank)
-        img = quot.apply(fan.rays[ray])
-    else:
-        img = fan.rays[ray]
-    return abs(img[0]) if len(img) == 1 else abs(
-        img[next(j for j, x in enumerate(img) if x != 0)]
-    )
 
 
 def intersect(fan: Fan, d: TorusDivisor, c: WallCurve) -> Fraction:
@@ -190,8 +199,7 @@ def intersect(fan: Fan, d: TorusDivisor, c: WallCurve) -> Fraction:
     sf = support_function(fan, d)
     u = sf.functional(c.cone_a)
     vb = fan.rays[c.off_b]
-    beta = _off_ray_index_in_quotient(fan, c.wall, c.off_b)
-    return Fraction(d.coeffs[c.off_b] - vec_dot(u, vb), 1) / beta
+    return Fraction(d.coeffs[c.off_b] - vec_dot(u, vb), 1) / c.beta_b
 
 
 def intersect_via_relation(fan: Fan, d: TorusDivisor, c: WallCurve) -> Fraction:
@@ -203,8 +211,7 @@ def intersect_via_relation(fan: Fan, d: TorusDivisor, c: WallCurve) -> Fraction:
     total = sum(
         Fraction(b) * x for b, x in zip(c.relation, d.coeffs)
     )
-    beta_a = _off_ray_index_in_quotient(fan, c.wall, c.off_a)
-    return total / (c.relation[c.off_a] * beta_a)
+    return total / (c.relation[c.off_a] * c.beta_a)
 
 
 def is_nef(fan: Fan, d: TorusDivisor) -> bool:
@@ -282,9 +289,3 @@ def one_ps_degree(fan: Fan, d: TorusDivisor, c: OnePsCurve) -> Fraction:
     sub = support_function(star.fan, restricted)
     return sub(w) + sub(tuple(-x for x in w))
 
-
-def degree_of_wall_curve(fan: Fan, c: WallCurve) -> dict:
-    """Intersection table {ray index: D_i·C} of a wall curve."""
-    return {
-        i: intersect(fan, ray_divisor(fan, i), c) for i in range(len(fan.rays))
-    }

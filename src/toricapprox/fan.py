@@ -149,9 +149,10 @@ class Fan:
         return any(s <= set(c) for c in self.max_cones)
 
     def require_cone(self, cone: Sequence) -> Cone:
-        """The cone as a sorted index tuple; ConeNotInFan if it is none."""
+        """The cone as a sorted index tuple; ConeNotInFan if it is none or
+        repeats an index."""
         cone = tuple(sorted(cone))
-        if not self.has_cone(cone):
+        if len(set(cone)) != len(cone) or not self.has_cone(cone):
             raise ConeNotInFan(f"{cone} is not a cone of the fan")
         return cone
 
@@ -206,6 +207,10 @@ def build_fan(rank: int, rays: Sequence, max_cones: Sequence) -> Fan:
     passes 1-3.  All three are sign tests against the cones' integer
     inverses (`Fan.cone_inverses`), one fraction-free elimination per cone.
     """
+    if rank < 0:
+        raise NotAFan(f"negative rank {rank}")
+    if any(len(v) != rank for v in rays):
+        raise NotAFan(f"a ray does not have {rank} coordinates")
     if rank == 0:
         return Fan(0, (), ((),), ())
     prim = tuple(primitive_part(v) for v in rays)
@@ -303,17 +308,11 @@ def wps_fan(weights: Sequence[int]) -> Fan:
     n = len(q) - 1
     if n < 1 or any(w <= 0 for w in q):
         raise BadWeights(f"weights must be positive, got {q}")
-    g = 0
-    for w in q:
-        g = gcd(g, w)
-    if g != 1:
+    if gcd(*q) != 1:
         raise BadWeights(f"weights {q} are not coprime")
     for i in range(n + 1):
         rest = q[:i] + q[i + 1:]
-        gg = 0
-        for w in rest:
-            gg = gcd(gg, w)
-        if gg != 1:
+        if gcd(*rest) != 1:
             raise BadWeights(
                 f"weights {q} are not well-formed (subset {rest} shares a factor)"
             )
@@ -387,8 +386,7 @@ class StarFanResult:
 
     fan: the quotient fan; tau: the cone quotiented out; quotient: the
     lattice projection; ray_map: original ray index -> quotient ray index;
-    b: original index -> positive integer with image(v_i) = b_i * new ray;
-    mult: original index -> multiplicity of the cone tau + <v_i>.
+    b: original index -> positive integer with image(v_i) = b_i * new ray.
     """
 
     fan: Fan
@@ -396,7 +394,6 @@ class StarFanResult:
     quotient: QuotientMap
     ray_map: dict
     b: dict
-    mult: dict
 
 
 def star_fan(fan: Fan, tau: Cone) -> StarFanResult:
@@ -411,28 +408,23 @@ def _star_fan_cached(fan: Fan, tau: Cone) -> StarFanResult:
         quot = quotient_lattice([], fan.rank)
         ray_map = {i: i for i in range(len(fan.rays))}
         ones = {i: 1 for i in range(len(fan.rays))}
-        return StarFanResult(fan, (), quot, ray_map, ones, dict(ones))
+        return StarFanResult(fan, (), quot, ray_map, ones)
     quot = quotient_lattice([fan.rays[i] for i in tau], fan.rank)
     star_cones = [c for c in fan.max_cones if set(tau) <= set(c)]
     star_rays = sorted({i for c in star_cones for i in c} - set(tau))
     ray_map = {}
     b = {}
-    mult = {}
     new_rays = []
     for i in star_rays:
         img = quot.apply(fan.rays[i])
-        p = primitive_part(img)
-        # img = b_i * p with b_i a positive integer
-        k = next(j for j, x in enumerate(p) if x != 0)
-        b[i] = img[k] // p[k]
+        b[i] = gcd(*img)
         ray_map[i] = len(new_rays)
-        new_rays.append(p)
-        mult[i] = cone_multiplicity(fan, tuple(sorted(tau + (i,))))
+        new_rays.append(primitive_part(img))
     new_cones = [
         tuple(sorted(ray_map[i] for i in c if i not in tau)) for c in star_cones
     ]
     qfan = build_fan(fan.rank - len(tau), new_rays, new_cones)
-    return StarFanResult(qfan, tau, quot, ray_map, b, mult)
+    return StarFanResult(qfan, tau, quot, ray_map, b)
 
 
 def star_subdivision(fan: Fan, new_ray: Sequence[int]):
@@ -560,7 +552,3 @@ def is_projective_space(fan: Fan) -> bool:
         and all(cone_multiplicity(fan, c) == 1 for c in fan.max_cones)
     )
 
-
-def fans_isomorphic_p1(fan: Fan) -> bool:
-    """Rank-1 completeness check helper: the unique complete rank-1 fan."""
-    return fan.rank == 1 and set(fan.rays) == {(1,), (-1,)}

@@ -29,6 +29,7 @@ from toricapprox.fan import (
 )
 from toricapprox.lattice import primitive_part, _quotient_by_span
 from toricapprox.linalg import (
+    mat_mul,
     mat_vec,
     solve_general,
     unimodular_inverse,
@@ -106,16 +107,6 @@ def make_certificate(fan, curve, bound, trace, assumptions=()) -> CurveCertifica
     )
 
 
-def universal_cover_codim1(data: FwpsData):
-    """The cover on the ray-generated sublattice, with its group data.
-
-    Returns (cover fan, cover index, invariant factors of the covering
-    group, cover_to_ambient matrix).  Etale in codimension 1: every ray is
-    a ray of both fans.
-    """
-    return data.cover_fan, data.cover_index, data.group_factors, data.cover_to_ambient
-
-
 def terminal_wps_inequality(weights: Sequence[int], kappa: int) -> bool:
     """The fractional-part inequality sum {a_i·k/h} <= n-1 (h = sum a_i).
 
@@ -132,42 +123,20 @@ def terminal_wps_inequality(weights: Sequence[int], kappa: int) -> bool:
     return total <= n - 1
 
 
-def _lift_curve_through_star(fan: Fan, star, curve: OnePsCurve) -> OnePsCurve:
-    """Reinterpret a curve on the orbit-closure fan star.fan inside fan.
-
-    The curve's orbit cone pulls back to tau + (preimages of its rays); the
-    weight is lifted to the ambient lattice and re-projected.
-    """
-    inv = {j: i for i, j in star.ray_map.items()}
-    tau_x = tuple(sorted(set(star.tau) | {inv[j] for j in curve.tau}))
-    if curve.tau:
-        sub = star_fan(star.fan, curve.tau)
-        x1 = sub.quotient.lift_point(curve.w)
-    else:
-        x1 = curve.w
-    x0 = star.quotient.lift_point(x1)
-    q2 = star_fan(fan, tau_x).quotient
-    return OnePsCurve(tau_x, primitive_part(q2.apply(x0)))
-
-
-def _push_curve_through_lattice_map(
-    fan: Fan, to_ambient, cover_fan: Fan, curve: OnePsCurve
+def _lift_curve(
+    fan: Fan, sub_fan: Fan, curve: OnePsCurve, base: Cone, ray_map, to_ambient
 ) -> OnePsCurve:
-    """Image of a cover curve under a finite toric cover (same ray indices).
+    """Carry a curve on sub_fan into fan across an integer lattice map.
 
-    to_ambient maps cover-lattice coordinates to ambient coordinates; the
-    orbit cones correspond bijectively, so only the weight needs transport.
+    The weight is lifted through the quotient of star_fan(sub_fan,
+    curve.tau), mapped into N by the integer matrix to_ambient, and
+    projected onto the orbit of tau = base + (ray_map of curve.tau), for
+    ray_map sending each sub_fan ray index to a ray index of fan.
     """
-    if curve.tau:
-        sub = star_fan(cover_fan, curve.tau)
-        x1 = sub.quotient.lift_point(curve.w)
-    else:
-        x1 = curve.w
-    x0 = tuple(int(x) for x in mat_vec(to_ambient, x1))
-    if curve.tau:
-        q2 = star_fan(fan, curve.tau).quotient
-        return OnePsCurve(curve.tau, primitive_part(q2.apply(x0)))
-    return OnePsCurve((), primitive_part(x0))
+    x = star_fan(sub_fan, curve.tau).quotient.lift_point(curve.w)
+    x = mat_vec(to_ambient, x)
+    tau = tuple(sorted(set(base) | {ray_map[j] for j in curve.tau}))
+    return OnePsCurve(tau, primitive_part(star_fan(fan, tau).quotient.apply(x)))
 
 
 def wps_curve_all_leq1(fan: Fan, p_orbit: Sequence = ()) -> CurveCertificate:
@@ -215,7 +184,10 @@ def wps_curve_all_leq1(fan: Fan, p_orbit: Sequence = ()) -> CurveCertificate:
     star = star_fan(fan, (j,))
     sub_orbit = tuple(sorted(star.ray_map[i] for i in p_orbit if i != j))
     sub = wps_curve_all_leq1(star.fan, sub_orbit)
-    curve = _lift_curve_through_star(fan, star, sub.curve)
+    curve = _lift_curve(
+        fan, star.fan, sub.curve, star.tau,
+        {i: j for j, i in star.ray_map.items()}, star.quotient.lift,
+    )
     cert = make_certificate(
         fan,
         curve,
@@ -405,8 +377,9 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
     if not all(w == 1 for w in data.weights):
         # Lift to the weighted-projective cover; orbit cones correspond.
         sub = wps_curve_all_leq1(data.cover_fan, p_orbit)
-        curve = _push_curve_through_lattice_map(
-            fan, data.cover_to_ambient, data.cover_fan, sub.curve
+        curve = _lift_curve(
+            fan, data.cover_fan, sub.curve, (), range(len(fan.rays)),
+            data.cover_to_ambient,
         )
         cert = make_certificate(
             fan,
@@ -428,8 +401,9 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
     if p != q:
         inter = _intermediate_quotient(data, p)
         sub = fwps_curve(recognize_fwps(inter.fan), p_orbit)
-        curve = _push_curve_through_lattice_map(
-            fan, inter.to_ambient, inter.fan, sub.curve
+        curve = _lift_curve(
+            fan, inter.fan, sub.curve, (), range(len(fan.rays)),
+            inter.to_ambient,
         )
         cert = make_certificate(
             fan,
@@ -455,7 +429,10 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
     else:
         sub = fwps_curve(recognize_fwps(star.fan), sub_orbit)
         bound = Fraction((n - 1) * (n + 1), n)
-    curve = _lift_curve_through_star(fan, star, sub.curve)
+    curve = _lift_curve(
+        fan, star.fan, sub.curve, star.tau,
+        {i: j for j, i in star.ray_map.items()}, star.quotient.lift,
+    )
     cert = make_certificate(
         fan,
         curve,
@@ -520,13 +497,13 @@ class FiberData:
     fan: the fiber fan on L = (saturated span of the nonzero-degree rays)
     modulo (saturated span of the negative-degree rays); ray_sources: the
     ambient ray index behind each fiber ray; tau_base: the ambient cone of
-    negative rays (the fiber sits inside its orbit closure)."""
+    negative rays (the fiber sits inside its orbit closure); to_ambient:
+    integer matrix taking fiber coordinates to a lift in N."""
 
     fan: Fan
     ray_sources: tuple
     tau_base: Cone
-    basis_in_quotient: tuple
-    quotient: object
+    to_ambient: tuple
 
 
 def fiber_fwps(fan: Fan, ray: ExtremalRay) -> FiberData:
@@ -546,7 +523,9 @@ def fiber_fwps(fan: Fan, ray: ExtremalRay) -> FiberData:
     fiber = build_fan(
         fdim, fib_rays, list(combinations(range(len(j_plus)), fdim))
     )
-    return FiberData(fiber, tuple(j_plus), tuple(j_minus), basis, quot)
+    return FiberData(
+        fiber, tuple(j_plus), tuple(j_minus), mat_mul(quot.lift, basis)
+    )
 
 
 def base_case_curve(
@@ -587,7 +566,10 @@ def base_case_curve(
             )
         )
         sub = fwps_curve(fdata, sub_orbit)
-        curve = _lift_fiber_curve(fan, fib, sub.curve)
+        curve = _lift_curve(
+            fan, fib.fan, sub.curve, fib.tau_base, fib.ray_sources,
+            fib.to_ambient,
+        )
         bound = Fraction(fan.rank)
         trace = (
             f"fiber of the {kind} contraction: fake weighted projective "
@@ -607,21 +589,3 @@ def base_case_curve(
     )
     return cert
 
-
-def _lift_fiber_curve(fan: Fan, fib: FiberData, curve: OnePsCurve) -> OnePsCurve:
-    """Reinterpret a fiber-fan curve inside the ambient fan."""
-    if curve.tau:
-        sub = star_fan(fib.fan, curve.tau)
-        x_f = sub.quotient.lift_point(curve.w)
-    else:
-        x_f = curve.w
-    # Fiber coords -> quotient-by-tau_base coords -> ambient coords.
-    x_q = tuple(int(x) for x in mat_vec(fib.basis_in_quotient, x_f))
-    x_n = fib.quotient.lift_point(x_q)
-    tau_x = tuple(
-        sorted(set(fib.tau_base) | {fib.ray_sources[j] for j in curve.tau})
-    )
-    if tau_x:
-        q2 = star_fan(fan, tau_x).quotient
-        return OnePsCurve(tau_x, primitive_part(q2.apply(x_n)))
-    return OnePsCurve((), primitive_part(x_n))

@@ -132,19 +132,14 @@ def sublattice_index(gens: Sequence[Sequence[int]], ambient_rank: int) -> int:
 
 def primitive_part(v: Sequence[int]) -> tuple:
     """v divided by the gcd of its entries; errors on the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ZeroVector("the zero vector spans no ray")
     return tuple(x // g for x in v)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*v) == 1
 
 
 @dataclass(frozen=True)

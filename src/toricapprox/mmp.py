@@ -8,8 +8,9 @@ full chain runner tracking a point's orbit cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from toricapprox.fan import (
@@ -19,11 +20,10 @@ from toricapprox.fan import (
     star_subdivision,
 )
 from toricapprox.lattice import primitive_part, _quotient_by_span
-from toricapprox.linalg import nonneg_combination, solve_general, vec_dot
+from toricapprox.linalg import nonneg_combination, vec_dot
 from toricapprox.divisor import (
     TorusDivisor,
     WallCurve,
-    _off_ray_index_in_quotient,
     canonical_divisor,
     intersect,
     is_nef,
@@ -143,9 +143,8 @@ class ContractionResult:
     """A divisorial or Mori-fiber contraction psi: X -> Y.
 
     ray_map: X ray index -> Y ray index (None for collapsed rays);
-    fiber_fan / fiber_ray_basis are set for Mori fiber steps: the fan of
-    the (fake weighted projective space) general fiber on the sublattice
-    spanned by the contracted rays, and that sublattice's basis as columns.
+    quotient_projection is set for Mori fiber steps: the projection of N
+    onto the base lattice.  The general fiber is `fwps.fiber_fwps`.
     """
 
     kind: str
@@ -153,9 +152,6 @@ class ContractionResult:
     target: Fan
     ray_map: tuple
     exc_cone: Cone
-    fiber_fan: Optional[Fan] = None
-    fiber_ray_basis: Optional[tuple] = None
-    fiber_rays: Optional[tuple] = None
     quotient_projection: Optional[tuple] = None
 
 
@@ -224,28 +220,12 @@ def _contract_mori_fiber(fan: Fan, ray: ExtremalRay) -> ContractionResult:
             if len(imgs) == quot.rank:
                 new_cones.add(imgs)
         target = build_fan(quot.rank, new_rays, sorted(new_cones))
-    # General fiber: the complete fan cut out on the sublattice spanned by
-    # the contracted rays; for an extremal contraction it has dim+1 rays.
-    fdim = fan.rank - quot.rank
-    basis_cols = tuple(zip(*quot.kernel_basis)) if fdim else ()
-    fib_rays = []
-    for i in j_plus:
-        coords = solve_general(basis_cols, fan.rays[i])
-        fib_rays.append(tuple(int(x) for x in coords))
-    from itertools import combinations
-
-    fiber = build_fan(
-        fdim, fib_rays, list(combinations(range(len(j_plus)), fdim))
-    )
     return ContractionResult(
         MORI_FIBER,
         fan,
         target,
         tuple(ray_map),
         (),
-        fiber_fan=fiber,
-        fiber_ray_basis=basis_cols,
-        fiber_rays=tuple(j_plus),
         quotient_projection=quot.projection,
     )
 
@@ -287,10 +267,7 @@ def push_divisor(res: ContractionResult, d: TorusDivisor) -> TorusDivisor:
         if j is None:
             assert d.coeffs[i] == 0, "divisor is not a pullback"
             continue
-        p = primitive_part(img)
-        k = next(a for a, x in enumerate(p) if x != 0)
-        b = img[k] // p[k]
-        val = Fraction(d.coeffs[i]) / b
+        val = Fraction(d.coeffs[i]) / gcd(*img)
         assert coeffs[j] is None or coeffs[j] == val, "divisor is not a pullback"
         coeffs[j] = val
     return TorusDivisor(tuple(coeffs))
@@ -332,14 +309,11 @@ def flip(fan: Fan, ray: ExtremalRay) -> FlipResult:
         sum(-rel[i] * fan.rays[i][r] for i in j_minus) for r in range(fan.rank)
     )
     wstar = primitive_part(wsum)
-    k = next(r for r, x in enumerate(wstar) if x != 0)
-    g = wsum[k] // wstar[k]
+    g = gcd(*wsum)
     # D* = (kappa/g)·D_{w*}: the unique rational multiple of the new ray's
     # divisor making the pullback identity exact, where kappa normalizes
     # the wall relation against the actual curve class of the wall.
-    kappa = rel[ray.curve.off_a] * _off_ray_index_in_quotient(
-        fan, ray.curve.wall, ray.curve.off_a
-    )
+    kappa = rel[ray.curve.off_a] * ray.curve.beta_a
     # Replace each maximal cone containing the exceptional cone: such a cone
     # is (circuit minus one positive ray) plus link rays; the flipped fan
     # uses (circuit minus one negative ray) plus the same link.

@@ -51,6 +51,10 @@ def fan_from_doc(doc: dict) -> Fan:
 
 
 def divisor_from_doc(doc) -> TorusDivisor:
+    """Entries are ints or "p/q" strings; an inexact JSON float is refused."""
+    for s in doc:
+        if type(s) is not int and not isinstance(s, str):
+            raise TypeError(f"divisor entry {s!r} is not an int or a string")
     return TorusDivisor.of([Fraction(s) for s in doc])
 
 

@@ -5,6 +5,11 @@ cones must meet in the cone over their common rays (checked by enumerating
 the extreme rays of the intersection), and every direction of the 3^rank
 grid must lie in some maximal cone.  It serves as the differential oracle
 for `toricapprox.fan.build_fan`, which uses a sign-test certificate.
+
+`reference_off_ray_index` computes the index of an off-wall ray's image in
+N / sat(span(wall)) from an explicit quotient lattice; it is the reference
+for the `beta_a` / `beta_b` that `toricapprox.divisor.wall_curves` reads
+off the cone inverses.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from toricapprox.fan import NotAFan, NotComplete, NotSimplicial
-from toricapprox.lattice import primitive_part
+from toricapprox.lattice import primitive_part, quotient_lattice
 from toricapprox.linalg import (
     clear_denominators,
     det,
@@ -142,3 +147,15 @@ def reference_build(rank_, rays, max_cones):
         if any(probe) and not any(_in_cone(prim, c, probe) for c in cones):
             raise NotComplete(f"direction {probe} is not covered")
     return tuple(walls)
+
+
+def reference_off_ray_index(fan, wall, ray):
+    """|image of v_ray| in the rank-1 lattice N / sat(span(wall))."""
+    if wall:
+        quot = quotient_lattice([fan.rays[i] for i in wall], fan.rank)
+        img = quot.apply(fan.rays[ray])
+    else:
+        img = fan.rays[ray]
+    return abs(img[0]) if len(img) == 1 else abs(
+        img[next(j for j, x in enumerate(img) if x != 0)]
+    )

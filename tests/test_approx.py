@@ -17,7 +17,12 @@ from toricapprox.approx import (
     transport_curve,
 )
 from toricapprox.divisor import TorusDivisor, one_ps_degree
-from toricapprox.fan import ConeNotInFan, projective_space_fan, star_subdivision
+from toricapprox.fan import (
+    ConeNotInFan,
+    build_fan,
+    projective_space_fan,
+    star_subdivision,
+)
 from toricapprox.mmp import (
     DIVISORIAL,
     MORI_FIBER,
@@ -203,3 +208,20 @@ def test_driver_rejects_non_cone_orbit(p2):
             p2, TorusDivisor.of([1, 0, 0]), (0, 1, 2),
             assume_canonically_bounded=True,
         )
+
+
+def test_driver_non_terminal_records_failed_bound():
+    # P(8,9,11,12): not terminal, so the fiber curve is only guaranteed
+    # -K·C <= dim + 1.  The driver used to stop on its comparison assertion.
+    fan = build_fan(
+        3,
+        [(9, 2, 3), (-8, -3, -4), (0, 1, 0), (0, 0, 1)],
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+    )
+    res = theorem16_driver(
+        fan, TorusDivisor.of([1, 0, 0, 0]), (3,),
+        assume_canonically_bounded=True,
+    )
+    assert res.certificate.minus_k == Fraction(10, 3)
+    assert not res.ledger[-1].bound_holds
+    assert any("not terminal" in a for a in res.assumptions)

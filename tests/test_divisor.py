@@ -1,5 +1,6 @@
 """Divisors, support functions, exact intersection numbers, 1-PS degrees."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from toricapprox.divisor import (
     TorusDivisor,
     ZeroWeight,
     canonical_divisor,
-    degree_of_wall_curve,
     intersect,
     intersect_via_relation,
     is_nef,
@@ -23,6 +23,9 @@ from toricapprox.divisor import (
     wall_curves,
 )
 from toricapprox.fan import ConeNotInFan
+
+from conftest import random_fan_suite
+from fan_oracle import reference_off_ray_index
 
 
 def test_support_function_p2(p2):
@@ -53,6 +56,17 @@ def test_intersection_routes_agree(p2, f1, wps4713, p2_mu3, francia):
             d = ray_divisor(fan, i)
             for c in wall_curves(fan):
                 assert intersect(fan, d, c) == intersect_via_relation(fan, d, c)
+
+
+def test_wall_betas_match_reference(p2, p3, f1, wps4713, wps112, p2_mu3, francia):
+    # Both intersection routes divide by a beta, so only this comparison
+    # catches a wrong one.
+    fans = [p2, p3, f1, wps4713, wps112, p2_mu3, francia]
+    fans += [fan for fan, _ in random_fan_suite(random.Random(3), 60)]
+    for fan in fans:
+        for c in wall_curves(fan):
+            assert c.beta_a == reference_off_ray_index(fan, c.wall, c.off_a)
+            assert c.beta_b == reference_off_ray_index(fan, c.wall, c.off_b)
 
 
 def test_principal_divisors_numerically_trivial(f1, wps4713, francia):
@@ -133,8 +147,8 @@ def test_restrict_to_orbit_closure_wps(wps4713):
 
 def test_degree_of_wall_curve(p2):
     c = wall_curves(p2)[0]
-    table = degree_of_wall_curve(p2, c)
-    assert all(v == 1 for v in table.values())
+    for i in range(len(p2.rays)):
+        assert intersect(p2, ray_divisor(p2, i), c) == 1
 
 
 def test_support_function_outside_support():

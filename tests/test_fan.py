@@ -12,7 +12,6 @@ from toricapprox.fan import (
     RayAlreadyPresent,
     build_fan,
     cone_multiplicity,
-    fans_isomorphic_p1,
     is_projective_space,
     is_terminal,
     projective_space_fan,
@@ -21,6 +20,22 @@ from toricapprox.fan import (
     star_subdivision,
     wps_fan,
 )
+
+
+def test_build_rejects_rays_of_wrong_length():
+    cones = [(0, 1), (1, 2), (0, 2)]
+    with pytest.raises(NotAFan, match="coordinates"):
+        build_fan(2, [(1,), (0, 1), (-1, -1)], cones)
+    with pytest.raises(NotAFan, match="coordinates"):
+        build_fan(2, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)], cones)
+    with pytest.raises(NotAFan, match="negative rank"):
+        build_fan(-1, [], [])
+
+
+def test_require_cone_rejects_repeated_indices(p2):
+    assert p2.require_cone((1, 0)) == (0, 1)
+    with pytest.raises(ConeNotInFan):
+        p2.require_cone((0, 0))
 
 
 def test_build_rejects_half_plane():
@@ -101,14 +116,14 @@ def test_is_terminal_p1xp1():
 
 def test_star_fan_of_wps_is_wps(wps4713):
     star = star_fan(wps4713, (0,))
-    assert fans_isomorphic_p1(star.fan)
+    assert star.fan.rank == 1
+    assert set(star.fan.rays) == {(1,), (-1,)}
     data = recognize_fwps(star.fan)
     # The orbit closure of the weight-4 ray is a projective line.
     assert data.weights == (1, 1)
-    # b and mult bookkeeping covers exactly the star's other rays.
+    # b bookkeeping covers exactly the star's other rays.
     assert set(star.ray_map) == {1, 2}
     assert all(b >= 1 for b in star.b.values())
-    assert all(m >= 1 for m in star.mult.values())
 
 
 def test_star_fan_zero_cone_is_identity(p2):

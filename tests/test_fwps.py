@@ -21,7 +21,6 @@ from toricapprox.fwps import (
     mu_p_residues,
     mu_p_torus_curve,
     terminal_wps_inequality,
-    universal_cover_codim1,
     wps_curve_all_leq1,
 )
 from toricapprox.mmp import DIVISORIAL, MORI_FIBER, classify_contraction, mori_extremal_rays
@@ -49,11 +48,10 @@ def p3_mu2():
 
 def test_universal_cover(p2_mu3):
     data = recognize_fwps(p2_mu3)
-    cover, index, factors, _ = universal_cover_codim1(data)
-    assert index == 3
-    assert factors == (3,)
+    assert data.cover_index == 3
+    assert data.group_factors == (3,)
     # Etale in codimension 1: the cover keeps one ray per ray.
-    assert len(cover.rays) == len(p2_mu3.rays)
+    assert len(data.cover_fan.rays) == len(p2_mu3.rays)
 
 
 def test_terminal_wps_inequality():

@@ -1,5 +1,6 @@
 """Extremal rays, contractions, flips, the a-value step, and chains."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from toricapprox.divisor import (
     support_function,
 )
 from toricapprox.fan import is_projective_space
+from toricapprox.fwps import fiber_fwps
 from toricapprox.mmp import (
     DIVISORIAL,
     FLIP,
@@ -55,14 +57,7 @@ def test_classify_rejects_non_extremal(f1):
         a + b for a, b in zip(rays[0].curve.relation, rays[1].curve.relation)
     )
     fake = type(rays[0])(
-        curve=type(rays[0].curve)(
-            rays[0].curve.wall,
-            rays[0].curve.cone_a,
-            rays[0].curve.cone_b,
-            rays[0].curve.off_a,
-            rays[0].curve.off_b,
-            combo,
-        ),
+        curve=replace(rays[0].curve, relation=combo),
         j_minus=tuple(i for i, b in enumerate(combo) if b < 0),
         k_degree=Fraction(-1),
     )
@@ -107,8 +102,9 @@ def test_mori_fiber_contraction_f1(f1):
     res = contract(f1, ray)
     assert res.kind == MORI_FIBER
     assert res.target.rank == 1
-    assert res.fiber_fan.rank == 1
-    assert set(res.fiber_fan.rays) == {(1,), (-1,)}
+    fiber = fiber_fwps(f1, ray).fan
+    assert fiber.rank == 1
+    assert set(fiber.rays) == {(1,), (-1,)}
 
 
 def test_contract_refuses_flip(francia):

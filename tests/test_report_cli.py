@@ -214,3 +214,75 @@ def test_cli_divisor_zero_denominator_exit_3(p2_files, tmp_path, capsys):
 def test_cli_casestudy_without_context_exit_3(capsys):
     assert main(["casestudy", "p4713"]) == EXIT_INPUT
     assert "--context" in _input_error(capsys)
+
+
+def test_cli_fan_check_ray_of_wrong_length(tmp_path, capsys):
+    cones = [[0, 1], [1, 2], [0, 2]]
+    short = _write(tmp_path, "short.json",
+                   {"rank": 2, "rays": [[1], [0, 1], [-1, -1]], "max_cones": cones})
+    long = _write(tmp_path, "long.json",
+                  {"rank": 2, "rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]],
+                   "max_cones": cones})
+    for path in (short, long):
+        assert main(["fan-check", "--fan", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["valid"] is False
+        assert main(["curve-find", "--fan", path]) == EXIT_INPUT
+        assert "coordinates" in _input_error(capsys)
+
+
+def test_cli_negative_rank_exit_3(tmp_path, capsys):
+    path = _write(tmp_path, "neg.json", {"rank": -1, "rays": [], "max_cones": []})
+    assert main(["fan-check", "--fan", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+    assert main(["fan-terminal", "--fan", path]) == EXIT_INPUT
+    assert "negative rank" in _input_error(capsys)
+
+
+def test_cli_orbit_float_index_exit_3(p2_files, capsys):
+    fan, _ = p2_files
+    assert main(["curve-find", "--fan", fan, "--orbit", "[1.5]"]) == EXIT_INPUT
+    assert "ray indices" in _input_error(capsys)
+
+
+def test_cli_orbit_bool_index_exit_3(p2_files, capsys):
+    fan, _ = p2_files
+    assert main(["curve-find", "--fan", fan, "--orbit", "[true]"]) == EXIT_INPUT
+    assert "ray indices" in _input_error(capsys)
+
+
+def test_cli_orbit_not_a_list_exit_3(p2_files, capsys):
+    fan, _ = p2_files
+    assert main(["curve-find", "--fan", fan, "--orbit", "{}"]) == EXIT_INPUT
+    assert "ray indices" in _input_error(capsys)
+
+
+def test_cli_orbit_repeated_index_exit_3(p2_files, capsys):
+    fan, _ = p2_files
+    assert main(["curve-find", "--fan", fan, "--orbit", "[0,0]"]) == EXIT_INPUT
+    assert "not a cone" in _input_error(capsys)
+
+
+def test_cli_divisor_float_entry_exit_3(p2_files, tmp_path, capsys):
+    fan, _ = p2_files
+    for entry in (1.5, 0.1):
+        bad = _write(tmp_path, "float.json", [entry, 0, 0])
+        assert main(["divisor-nef", "--fan", fan, "--divisor", bad]) == EXIT_INPUT
+        assert "invalid divisor" in _input_error(capsys)
+    good = _write(tmp_path, "mixed.json", [1, "1/2", 0])
+    assert main(["divisor-nef", "--fan", fan, "--divisor", good]) == EXIT_OK
+
+
+def test_cli_theorem_run_non_terminal_input(tmp_path, capsys):
+    # P(8,9,11,12) used to end on the driver's comparison assertion, exit 1.
+    fan = _write(tmp_path, "fan.json", {
+        "rank": 3,
+        "rays": [[9, 2, 3], [-8, -3, -4], [0, 1, 0], [0, 0, 1]],
+        "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    })
+    div = _write(tmp_path, "d.json", ["1", "0", "0", "0"])
+    code = main(["theorem-run", "--fan", fan, "--divisor", div, "--orbit", "[3]",
+                 "--assume-cb"])
+    assert code == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"]["minus_k_degree"] == "10/3"
+    assert out["ledger"][-1]["bound_holds"] is False
