@@ -24,6 +24,7 @@ from toricapprox.divisor import (  # noqa: F401
     intersect,
     is_nef,
     one_ps_degree,
+    one_ps_intersections,
     ray_divisor,
     support_function,
     wall_curves,

@@ -289,3 +289,51 @@ def one_ps_degree(fan: Fan, d: TorusDivisor, c: OnePsCurve) -> Fraction:
     sub = support_function(star.fan, restricted)
     return sub(w) + sub(tuple(-x for x in w))
 
+
+def one_ps_intersections(fan: Fan, c: OnePsCurve) -> tuple:
+    """D_i·C for every ray i of the fan, in one pass.
+
+    With star = star_fan(fan, tau), write w and -w in barycentric
+    coordinates of the star-fan cones containing them; a_j, the sum of the
+    two coefficients at star ray j, is the degree of that ray's divisor on
+    C.  A ray i of the star has D_i·C = a_{ray_map[i]} / b_i, and a ray
+    neither in tau nor in the star misses V(tau).  For t in tau, the
+    relation sum_i (D_i·C) v_i = 0 gives D_t·C = -<R_t, V> / D, with V the
+    sum over the rays off tau and R_t the row of t in the integer inverse
+    R = D·M^-1 of a maximal cone containing tau, which pairs to D·delta on
+    tau.  Everything is kept over the integers, scaled by one common
+    denominator.  `one_ps_degree` computes each entry by the
+    support-function route instead.
+    """
+    w = primitive_part(c.w)
+    star = star_fan(fan, c.tau)
+    sub = star.fan
+    located = []
+    for p in (w, tuple(-x for x in w)):
+        cone = sub.cone_containing(p)
+        if cone is None:
+            raise DivisorError(f"{p} is outside the fan support")
+        located.append((cone,) + sub.scaled_coefficients(cone, p))
+    (cone_p, d_p, lam_p), (cone_m, d_m, lam_m) = located
+    a = [0] * len(sub.rays)  # a_j · d_p · d_m
+    for j, x in zip(cone_p, lam_p):
+        a[j] += x * d_m
+    for j, x in zip(cone_m, lam_m):
+        a[j] += x * d_p
+    m = lcm(*star.b.values())
+    den = d_p * d_m * m
+    num = [0] * len(fan.rays)  # (D_i·C) · den
+    for i, j in star.ray_map.items():
+        num[i] = a[j] * (m // star.b[i])
+    out = [Fraction(x, den) for x in num]
+    if c.tau:
+        n = fan.rank
+        k, cone = next(
+            (k, s) for k, s in enumerate(fan.max_cones) if set(c.tau) <= set(s)
+        )
+        det, adj = fan.cone_inverse(k)
+        v = [sum(num[i] * fan.rays[i][r] for i in star.ray_map) for r in range(n)]
+        for t in c.tau:
+            p = cone.index(t) * n
+            out[t] = Fraction(-vec_dot(adj[p:p + n], v), det * den)
+    return tuple(out)

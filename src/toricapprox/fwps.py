@@ -41,8 +41,9 @@ from toricapprox.divisor import (
     canonical_divisor,
     intersect,
     one_ps_degree,
-    ray_divisor,
+    one_ps_intersections,
 )
+from toricapprox.invariant import check
 from toricapprox.mmp import (
     ExtremalRay,
     classify_contraction,
@@ -80,7 +81,7 @@ class CurveCertificate:
     """A unibranch rational curve given as a 1-parameter-subgroup closure.
 
     intersections[i] = D_i·C per fan ray; minus_k = -K·C = sum of the
-    intersections (asserted); bound: the proved upper bound for -K·C;
+    intersections (checked); bound: the proved upper bound for -K·C;
     trace: replayable construction path; assumptions: ledger of facts
     recorded but not verified (e.g. rationality of lifted points).
     """
@@ -95,13 +96,11 @@ class CurveCertificate:
 
 
 def make_certificate(fan, curve, bound, trace, assumptions=()) -> CurveCertificate:
-    inters = tuple(
-        one_ps_degree(fan, ray_divisor(fan, i), curve)
-        for i in range(len(fan.rays))
-    )
+    inters = one_ps_intersections(fan, curve)
+    # The support-function route, independent of the one-pass vector.
     minus_k = one_ps_degree(fan, -1 * canonical_divisor(fan), curve)
-    assert minus_k == sum(inters), "-K·C must equal the sum of ray degrees"
-    assert minus_k <= bound, f"-K·C = {minus_k} exceeds the claimed bound {bound}"
+    check(minus_k == sum(inters), "-K·C must equal the sum of ray degrees")
+    check(minus_k <= bound, f"-K·C = {minus_k} exceeds the claimed bound {bound}")
     return CurveCertificate(
         fan, curve, inters, minus_k, Fraction(bound), tuple(trace), tuple(assumptions)
     )

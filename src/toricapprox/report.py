@@ -43,11 +43,15 @@ def fan_to_doc(fan: Fan) -> dict:
 
 
 def fan_from_doc(doc: dict) -> Fan:
-    return build_fan(
-        int(doc["rank"]),
-        [tuple(int(x) for x in v) for v in doc["rays"]],
-        [tuple(int(i) for i in c) for c in doc["max_cones"]],
-    )
+    """Rank, ray coordinates and cone indices must be JSON ints; a float
+    or a bool is refused rather than truncated."""
+    rank = doc["rank"]
+    rays = [tuple(v) for v in doc["rays"]]
+    cones = [tuple(c) for c in doc["max_cones"]]
+    for x in (rank, *(x for v in rays for x in v), *(i for c in cones for i in c)):
+        if type(x) is not int:
+            raise TypeError(f"fan entry {x!r} is not an int")
+    return build_fan(rank, rays, cones)
 
 
 def divisor_from_doc(doc) -> TorusDivisor:

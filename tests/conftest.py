@@ -58,6 +58,22 @@ def p2_mu3():
 
 
 @pytest.fixture
+def p2_mu9():
+    """P^2 divided by a cyclic group of order 9 (scalar-free in codim 1)."""
+    return build_fan(2, [(1, 2), (1, -7), (-2, 5)], [(0, 1), (0, 2), (1, 2)])
+
+
+@pytest.fixture
+def p3_mu2():
+    """P^3 divided by an order-2 scalar-free action."""
+    return build_fan(
+        3,
+        [(2, -1, 0), (0, 1, 0), (0, 0, 1), (-2, 0, -1)],
+        list(combinations(range(4), 3)),
+    )
+
+
+@pytest.fixture
 def francia():
     """A threefold with a K-negative small contraction (one flip available)."""
     return build_fan(

@@ -16,15 +16,16 @@ from toricapprox.divisor import (
     linear_equivalence,
     make_one_ps,
     one_ps_degree,
+    one_ps_intersections,
     principal_divisor,
     ray_divisor,
     restrict_to_orbit_closure,
     support_function,
     wall_curves,
 )
-from toricapprox.fan import ConeNotInFan
+from toricapprox.fan import ConeNotInFan, star_fan, wps_fan
 
-from conftest import random_fan_suite
+from conftest import all_orbit_cones, random_fan_suite, well_formed_weight_vectors
 from fan_oracle import reference_off_ray_index
 
 
@@ -160,3 +161,50 @@ def test_support_function_outside_support():
     fan = projective_space_fan(2)
     sf = support_function(fan, TorusDivisor.of([1, 0, 0]))
     assert sf((0, 0)) == 0
+
+
+def _orbit_curves(fan, rng):
+    """Per orbit cone with a curve: the torus curve of each star ray and
+    three seeded weights."""
+    for tau in all_orbit_cones(fan):
+        star = star_fan(fan, tau).fan
+        if star.rank == 0:
+            continue
+        weights = list(star.rays) + [
+            tuple(rng.randint(-6, 6) for _ in range(star.rank)) for _ in range(3)
+        ]
+        for w in weights:
+            if any(w):
+                yield make_one_ps(fan, tau, w)
+
+
+def _check_one_pass(fan, rng):
+    """The per-ray support-function route is the oracle for every entry."""
+    for c in _orbit_curves(fan, rng):
+        inters = one_ps_intersections(fan, c)
+        oracle = tuple(
+            one_ps_degree(fan, ray_divisor(fan, i), c)
+            for i in range(len(fan.rays))
+        )
+        assert inters == oracle, (fan.rays, c)
+        for r in range(fan.rank):
+            assert sum(x * v[r] for x, v in zip(inters, fan.rays)) == 0
+
+
+def test_one_ps_intersections_match_per_ray_wps():
+    rng = random.Random(5)
+    for length, max_sum in ((3, 20), (4, 12)):
+        for weights in well_formed_weight_vectors(length, max_sum):
+            _check_one_pass(wps_fan(weights), rng)
+
+
+def test_one_ps_intersections_match_per_ray_fake_wps(p2_mu3, p2_mu9, p3_mu2):
+    rng = random.Random(6)
+    for fan in (p2_mu3, p2_mu9, p3_mu2):
+        _check_one_pass(fan, rng)
+
+
+def test_one_ps_intersections_match_per_ray_random_fans():
+    rng = random.Random(7)
+    for fan, _ in random_fan_suite(random.Random(4), 40):
+        _check_one_pass(fan, rng)

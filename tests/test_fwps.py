@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from toricapprox.divisor import TorusDivisor, one_ps_degree
-from toricapprox.fan import ConeNotInFan, build_fan, recognize_fwps, wps_fan
+from toricapprox.fan import ConeNotInFan, recognize_fwps, wps_fan
 from toricapprox.fwps import (
     FwpsError,
     IsProjectiveSpace,
@@ -26,24 +26,6 @@ from toricapprox.fwps import (
 from toricapprox.mmp import DIVISORIAL, MORI_FIBER, classify_contraction, mori_extremal_rays
 
 from conftest import all_orbit_cones
-
-
-@pytest.fixture
-def p2_mu9():
-    """P^2 divided by a cyclic group of order 9 (scalar-free in codim 1)."""
-    return build_fan(2, [(1, 2), (1, -7), (-2, 5)], [(0, 1), (0, 2), (1, 2)])
-
-
-@pytest.fixture
-def p3_mu2():
-    """P^3 divided by an order-2 scalar-free action."""
-    from itertools import combinations
-
-    return build_fan(
-        3,
-        [(2, -1, 0), (0, 1, 0), (0, 0, 1), (-2, 0, -1)],
-        list(combinations(range(4), 3)),
-    )
 
 
 def test_universal_cover(p2_mu3):
@@ -220,6 +202,23 @@ def test_certificate_intersections_sum(wps4713, p2_mu3):
         assert cert.minus_k <= cert.bound
 
 
+def test_make_certificate_takes_one_support_function_route(monkeypatch, wps4713):
+    # The vector comes from one_ps_intersections; -K·C alone goes through
+    # one_ps_degree, so the sum check still compares two routes.
+    import toricapprox.fwps as fwps_module
+    from toricapprox.divisor import OnePsCurve, canonical_divisor
+
+    seen = []
+    real = fwps_module.one_ps_degree
+    monkeypatch.setattr(
+        fwps_module, "one_ps_degree", lambda *a: seen.append(a[1]) or real(*a)
+    )
+    for curve in (OnePsCurve((), (1, 0)), OnePsCurve((1,), (1,))):
+        seen.clear()
+        fwps_module.make_certificate(wps4713, curve, 100, ())
+        assert seen == [-1 * canonical_divisor(wps4713)]
+
+
 def test_fwps_curve_rejects_non_cone_orbit(p2):
     # (0, 1, 2) is a set of rays of P^2 but not a cone of its fan.
     with pytest.raises(ConeNotInFan):
@@ -231,3 +230,51 @@ def test_wps_curve_all_leq1_rejects_non_cone_orbit(p2, wps4713):
         wps_curve_all_leq1(p2, (0, 1, 2))
     with pytest.raises(ConeNotInFan):
         wps_curve_all_leq1(wps4713, (3,))
+
+
+INVARIANT_SCRIPT = """
+import sys
+from toricapprox import cli, fwps
+from toricapprox.divisor import OnePsCurve
+from toricapprox.fan import projective_space_fan
+from toricapprox.invariant import InvariantError
+
+print("optimize", sys.flags.optimize)
+real = fwps.one_ps_intersections
+fwps.one_ps_intersections = lambda fan, c: tuple(x + 1 for x in real(fan, c))
+try:
+    fwps.wps_curve_all_leq1(projective_space_fan(2))
+except InvariantError as exc:
+    print("sum:", exc)
+print("exit", cli.main(["curve-find", "--fan", sys.argv[1]]))
+fwps.one_ps_intersections = real
+try:
+    fwps.make_certificate(projective_space_fan(2), OnePsCurve((), (1, 1)), 0, ())
+except InvariantError as exc:
+    print("bound:", exc)
+"""
+
+
+def test_make_certificate_checks_survive_python_O(tmp_path):
+    # Under -O a bare assert is stripped; the certificate checks must not be.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import toricapprox
+    from toricapprox.report import fan_to_doc
+    from toricapprox.fan import projective_space_fan
+
+    fan = tmp_path / "p2.json"
+    fan.write_text(json.dumps(fan_to_doc(projective_space_fan(2))))
+    src = os.path.dirname(os.path.dirname(toricapprox.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_SCRIPT, str(fan)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "optimize 1"
+    assert out[1] == "sum: -K·C must equal the sum of ray degrees"
+    assert out[2] == "exit 1"
+    assert out[3] == "bound: -K·C = 3 exceeds the claimed bound 0"

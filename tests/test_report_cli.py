@@ -286,3 +286,33 @@ def test_cli_theorem_run_non_terminal_input(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["certificate"]["minus_k_degree"] == "10/3"
     assert out["ledger"][-1]["bound_holds"] is False
+
+
+def _assert_fan_refused(tmp_path, capsys, doc):
+    # fan_from_doc used to pass every entry through int(), so each of these
+    # was read as a valid P^2.
+    path = _write(tmp_path, "fan.json", doc)
+    for verb in ("fan-check", "fan-terminal", "curve-find"):
+        assert main([verb, "--fan", path]) == EXIT_INPUT
+        assert "is not an int" in _input_error(capsys)
+
+
+P2_DOC = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+          "max_cones": [[0, 1], [1, 2], [0, 2]]}
+
+
+def test_cli_fan_float_ray_entry_exit_3(tmp_path, capsys):
+    _assert_fan_refused(tmp_path, capsys, dict(P2_DOC, rays=[[1.5, 0], [0, 1], [-1, -1]]))
+
+
+def test_cli_fan_float_cone_index_exit_3(tmp_path, capsys):
+    doc = dict(P2_DOC, max_cones=[[0, 1], [1, 2], [0, 2.9]])
+    _assert_fan_refused(tmp_path, capsys, doc)
+
+
+def test_cli_fan_string_rank_exit_3(tmp_path, capsys):
+    _assert_fan_refused(tmp_path, capsys, dict(P2_DOC, rank="2"))
+
+
+def test_cli_fan_bool_entry_exit_3(tmp_path, capsys):
+    _assert_fan_refused(tmp_path, capsys, dict(P2_DOC, rays=[[True, 0], [0, 1], [-1, -1]]))
