@@ -29,6 +29,8 @@ from toricapprox.fwps import (
     make_certificate,
     wps_curve_all_leq1,
 )
+from toricapprox.invariant import check
+from toricapprox.lattice import primitive_part
 from toricapprox.mmp import (
     DIVISORIAL,
     FLIP,
@@ -199,7 +201,7 @@ def lemma42_ledger(
     k = canonical_divisor(cert.fan)
     shifted = one_ps_degree(cert.fan, d + a * k, cert.curve)
     minus_k = one_ps_degree(cert.fan, -1 * k, cert.curve)
-    assert dd == shifted + a * minus_k, "exact degree bookkeeping"
+    check(dd == shifted + a * minus_k, "exact degree bookkeeping")
     return Lemma42Record(a, dd, shifted, minus_k, dim, minus_k <= dim)
 
 
@@ -207,9 +209,9 @@ def transport_curve(step: MmpStepRecord, cert: CurveCertificate) -> CurveCertifi
     """Strict transform of a downstream certificate across one MMP step.
 
     Divisorial: the orbit cone pulls back along the ray correspondence and
-    the weight is unchanged (same lattice); asserts the discrepancy identity
+    the weight is unchanged (same lattice); checks the discrepancy identity
     -K_X·C = -K_Y·C' - r·(E·C) with r > 0.  Flip: rays agree, the cone must
-    survive; asserts preservation of the step's shifted-divisor degree and
+    survive; checks preservation of the step's shifted-divisor degree and
     the sign of the exceptional correction.  Requires P outside this step's
     exceptional locus.
     """
@@ -225,7 +227,7 @@ def transport_curve(step: MmpStepRecord, cert: CurveCertificate) -> CurveCertifi
 def _transport_divisorial(step, cert):
     res: ContractionResult = step.result
     x, y = res.source, res.target
-    assert cert.fan == y, "certificate must live on the step's target"
+    check(cert.fan == y, "certificate must live on the step's target")
     inv = {j: i for i, j in enumerate(res.ray_map) if j is not None}
     tau_x = tuple(sorted(inv[j] for j in cert.curve.tau))
     if not x.has_cone(tau_x):
@@ -235,12 +237,13 @@ def _transport_divisorial(step, cert):
     k_y = canonical_divisor(y)
     # K_X = psi*K_Y + r·E: read r off the support function at the collapsed ray.
     r = Fraction(-1) - support_function(y, k_y)(x.rays[e])
-    assert r > 0, "the discrepancy of a terminal divisorial step is positive"
+    check(r > 0, "the discrepancy of a terminal divisorial step is positive")
     e_deg = one_ps_degree(x, ray_divisor(x, e), curve)
-    assert e_deg >= 0, "the curve avoids E, so E·C >= 0"
+    check(e_deg >= 0, "the curve avoids E, so E·C >= 0")
     minus_k_x = one_ps_degree(x, -1 * canonical_divisor(x), curve)
-    assert minus_k_x == cert.minus_k - r * e_deg, (
-        "discrepancy identity for the strict transform"
+    check(
+        minus_k_x == cert.minus_k - r * e_deg,
+        "discrepancy identity for the strict transform",
     )
     return make_certificate(
         x,
@@ -258,7 +261,7 @@ def _transport_divisorial(step, cert):
 def _transport_flip(step, cert):
     res: FlipResult = step.result
     x, x2 = res.source, res.target
-    assert cert.fan == x2, "certificate must live on the step's target"
+    check(cert.fan == x2, "certificate must live on the step's target")
     tau = cert.curve.tau
     if not x.has_cone(tau):
         raise OrbitInExc(f"orbit cone {tau} does not survive the flip upstream")
@@ -267,7 +270,7 @@ def _transport_flip(step, cert):
     # the small contraction's base on both sides).
     d_src = one_ps_degree(x, step.shifted, curve)
     d_tgt = one_ps_degree(x2, step.shifted, cert.curve)
-    assert d_src == d_tgt, "shifted-divisor degree is preserved across the flip"
+    check(d_src == d_tgt, "shifted-divisor degree is preserved across the flip")
     # Sign of the exceptional correction on the common subdivision.
     star = res.star
     wstar_idx = star.rays.index(res.new_ray)
@@ -275,9 +278,9 @@ def _transport_flip(step, cert):
     dstar_deg = res.dstar_multiple * one_ps_degree(
         star, ray_divisor(star, wstar_idx), c_star
     )
-    assert dstar_deg >= 0, "the exceptional correction has non-negative degree"
+    check(dstar_deg >= 0, "the exceptional correction has non-negative degree")
     minus_k_x = one_ps_degree(x, -1 * canonical_divisor(x), curve)
-    assert minus_k_x <= cert.minus_k, "-K·C cannot increase across the flip"
+    check(minus_k_x <= cert.minus_k, "-K·C cannot increase across the flip")
     return make_certificate(
         x,
         curve,
@@ -296,10 +299,11 @@ def pn_blowup_line(res: ContractionResult, p_orbit: Sequence = ()) -> CurveCerti
 
     For a divisorial contraction whose target is projective n-space with
     center Z = image of the exceptional divisor: the line class h meets Z,
-    its strict transform has E·C = 1 and -K_X·C = n+1-r <= n, with r the
-    discrepancy = codim(Z) - 1.  The toric representative computes the
-    class; the actual line is chosen through P (general in its orbit) and a
-    general point of Z.
+    its strict transform has E·C > 0 and -K_X·C = n+1 - disc·(E·C) <= n,
+    with disc = -1 - phi_{K_Y}(v_E) the discrepancy of E (codim(Z) - 1 when
+    v_E is the sum of the rays of Z's cone).  The toric representative
+    computes the class; the actual line is chosen through P (general in its
+    orbit) and a general point of Z.
     """
     if res.kind != DIVISORIAL:
         raise NotPnDownstream("a divisorial step with downstream P^n is required")
@@ -311,30 +315,28 @@ def pn_blowup_line(res: ContractionResult, p_orbit: Sequence = ()) -> CurveCerti
     v_e = x.rays[e]
     # Minimal cone of Y containing v_e: rays of the containing maximal cone
     # with positive barycentric coefficient.
-    mc = y.cone_containing(v_e)
-    coeffs = y.cone_coefficients(mc, v_e)
-    sigma_z = tuple(i for i, t in zip(mc, coeffs) if t > 0)
-    r = len(sigma_z) - 1
-    assert r >= 1, "the center has codimension at least 2"
-    from toricapprox.lattice import primitive_part
-
+    k, _, num = y.cone_containing(v_e)
+    sigma_z = tuple(i for i, t in zip(y.max_cones[k], num) if t > 0)
+    k_y = canonical_divisor(y)
+    disc = Fraction(-1) - support_function(y, k_y)(v_e)
     w = primitive_part(
-        tuple(sum(y.rays[i][k] for i in sigma_z) for k in range(n))
-    )
-    line = OnePsCurve((), w)
-    assert one_ps_degree(y, -1 * canonical_divisor(y), line) == n + 1, (
-        "the downstream curve is a line"
+        tuple(sum(y.rays[i][r] for i in sigma_z) for r in range(n))
     )
     curve = OnePsCurve((), w)
+    check(
+        one_ps_degree(y, -1 * k_y, curve) == n + 1,
+        "the downstream curve is a line",
+    )
     e_deg = one_ps_degree(x, ray_divisor(x, e), curve)
-    assert e_deg == 1, "the line meets the center transversally once"
+    check(e_deg > 0, "the line meets the center")
+    bound = n + 1 - disc * e_deg
     cert = make_certificate(
         x,
         curve,
-        bound=Fraction(n + 1 - r),
+        bound=bound,
         trace=(
             f"strict transform of a line through the blown-up center "
-            f"(codimension {r + 1}, discrepancy {r})",
+            f"(codimension {len(sigma_z)}, discrepancy {disc})",
         ),
         assumptions=(
             "the line is chosen through P (general in its orbit) and a "
@@ -342,7 +344,8 @@ def pn_blowup_line(res: ContractionResult, p_orbit: Sequence = ()) -> CurveCerti
             "its class",
         ),
     )
-    assert cert.minus_k == n + 1 - r, "the Fano degree drops by the discrepancy"
+    check(cert.minus_k == bound, "the Fano degree drops by disc·(E·C)")
+    check(cert.minus_k <= n, "the strict transform has -K·C <= dim")
     return cert
 
 
@@ -398,7 +401,7 @@ def theorem16_driver(
     from toricapprox.divisor import is_nef
 
     p_orbit = fan.require_cone(p_orbit)
-    assert is_nef(fan, d), "the driver needs a nef divisor"
+    check(is_nef(fan, d), "the driver needs a nef divisor")
     assumptions = []
     if not assume_canonically_bounded:
         assumptions.append(
@@ -443,27 +446,29 @@ def theorem16_driver(
     ledger = [
         lemma42_ledger(cert, term.divisor, term.a, term.fan.rank)
     ]
-    assert (
+    check(
         ledger[0].bound_holds
         or is_projective_space(term.fan)
-        or not terminal_ok
-    ), "the a-value comparison bound must hold off projective space"
+        or not terminal_ok,
+        "the a-value comparison bound must hold off projective space",
+    )
     for step in reversed(chain.steps[:-1]):
         if step.kind == DIVISORIAL and is_projective_space(step.result.target):
             cert = pn_blowup_line(step.result, step.p_orbit)
         else:
             cert = transport_curve(step, cert)
         rec = lemma42_ledger(cert, step.divisor, step.a, step.fan.rank)
-        assert rec.bound_holds, "transported curves satisfy -K·C <= dim"
+        check(rec.bound_holds, "transported curves satisfy -K·C <= dim")
         ledger.append(rec)
-    assert cert.fan == fan
+    check(cert.fan == fan, "the transported certificate lives on the input")
     degree = one_ps_degree(fan, d, cert.curve)
     alpha = alpha_rational_curve(degree, branches)
     # Independent recomputation: alpha = (C·D)/m with m = 1.
-    assert alpha == degree
+    check(alpha == degree, "alpha = (C·D)/m with m = 1")
     if not is_projective_space(fan):
-        assert cert.minus_k <= fan.rank or not terminal_ok, (
-            "terminal non-projective-space output satisfies -K·C <= dim"
+        check(
+            cert.minus_k <= fan.rank or not terminal_ok,
+            "terminal non-projective-space output satisfies -K·C <= dim",
         )
     return ApproxResult(
         certificate=cert,

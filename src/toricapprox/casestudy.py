@@ -25,6 +25,7 @@ from toricapprox.approx import (
 )
 from toricapprox.divisor import TorusDivisor
 from toricapprox.fan import wps_fan
+from toricapprox.invariant import check
 from toricapprox.linalg import clear_denominators, nullspace
 
 
@@ -345,7 +346,9 @@ def curve_alpha_search(
     """
     if len(q) != 3:
         raise DimensionError("the search runs on planes only")
-    q = tuple(int(x) for x in q)
+    q = tuple(q)
+    if any(type(x) is not int or x <= 0 for x in q):
+        raise CaseStudyError(f"weights must be positive ints, got {q}")
     big = prod(q)
     cands = []
     for d in range(1, degree_cap + 1):
@@ -447,13 +450,16 @@ def casestudy_p4713(context: ArithmeticContext) -> CaseStudyReport:
     )
     # The smooth curve x^5 = yz.
     rep20 = mult_and_tangent_at_one(X5_EQ_YZ)
-    assert rep20.multiplicity == 1
+    check(rep20.multiplicity == 1, "x^5 = yz is smooth at [1:1:1]")
     alpha20 = alpha_rational_curve(
         weighted_pairing(q, 20, 364), BranchData.of([(1, 1)])
     )
     # The double point curve of degree 39.
     rep39 = mult_and_tangent_at_one(CPRIME)
-    assert rep39.multiplicity == 2 and rep39.distinct
+    check(
+        rep39.multiplicity == 2 and rep39.distinct,
+        "C' has a node at [1:1:1]",
+    )
     branches, note = _branches_for(rep39, context)
     deg39 = weighted_pairing(q, 39, 364)
     alpha39 = None if branches is None else alpha_rational_curve(deg39, branches)

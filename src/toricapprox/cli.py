@@ -208,7 +208,11 @@ def cmd_theorem_run(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
-    from toricapprox.casestudy import casestudy_p4713, curve_alpha_search
+    from toricapprox.casestudy import (
+        CaseStudyError,
+        casestudy_p4713,
+        curve_alpha_search,
+    )
 
     context = _load_context(args.context)
     if args.subject == "p4713":
@@ -227,7 +231,10 @@ def cmd_casestudy(args) -> int:
             weights = tuple(int(x) for x in args.weights.split(","))
         except (AttributeError, ValueError) as exc:
             raise InputError(f"invalid weights {args.weights!r}") from exc
-        cands = curve_alpha_search(weights, args.cap, context)
+        try:
+            cands = curve_alpha_search(weights, args.cap, context)
+        except CaseStudyError as exc:
+            raise InputError(f"invalid weights {args.weights!r}: {exc}") from exc
         _emit(report.candidates_to_doc(cands), args.format)
         return EXIT_OK
     raise InputError(f"unknown casestudy subject {args.subject!r}")

@@ -15,6 +15,7 @@ from operator import mul
 from typing import Sequence
 
 from toricapprox.fan import Cone, Fan, star_fan
+from toricapprox.invariant import check
 from toricapprox.lattice import primitive_part
 from toricapprox.linalg import solve_general, vec_dot
 
@@ -95,10 +96,10 @@ class SupportFunction:
         return self.functionals[self.fan.max_cones.index(cone)]
 
     def __call__(self, point: Sequence) -> Fraction:
-        cone = self.fan.cone_containing(point)
-        if cone is None:
+        found = self.fan.cone_containing(point)
+        if found is None:
             raise DivisorError(f"{point} is outside the fan support")
-        return Fraction(vec_dot(self.functional(cone), point))
+        return Fraction(vec_dot(self.functionals[found[0]], point))
 
 
 @lru_cache(maxsize=None)
@@ -172,15 +173,16 @@ def wall_curves(fan: Fan) -> tuple:
         off_a = next(i for i in ca if i not in wall)
         off_b = next(i for i in cb if i not in wall)
         # D·v_b = sum_i (R·v_b)_i v_i over cone_a's rays.
-        det, scaled = fan.scaled_coefficients(ca, fan.rays[off_b])
+        det, scaled = fan.scaled_coefficients(index[ca], fan.rays[off_b])
         relation = [0] * len(fan.rays)
         relation[off_b] = det
         for i, x in zip(ca, scaled):
             relation[i] = -x
         g = gcd(*relation)
         relation = tuple(x // g for x in relation)
-        assert relation[off_a] > 0 and relation[off_b] > 0, (
-            "off-wall coefficients must be positive across a genuine wall"
+        check(
+            relation[off_a] > 0 and relation[off_b] > 0,
+            "off-wall coefficients must be positive across a genuine wall",
         )
         out.append(WallCurve(
             wall, ca, cb, off_a, off_b, relation,
@@ -229,7 +231,7 @@ def is_nef(fan: Fan, d: TorusDivisor) -> bool:
         for u in sf.functionals
         for i, v in enumerate(fan.rays)
     )
-    assert by_walls == by_convexity, "wall test and convexity test disagree"
+    check(by_walls == by_convexity, "wall test and convexity test disagree")
     return by_walls
 
 
@@ -253,24 +255,37 @@ def make_one_ps(fan: Fan, tau: Sequence, w: Sequence) -> OnePsCurve:
     return OnePsCurve(tau, primitive_part(w))
 
 
+def _tau_rows(fan: Fan, tau: Cone):
+    """(D, [R_t for t in tau]) for the first maximal cone containing tau,
+    with R = D·M^-1 its integer inverse: R_t pairs to D with v_t and to 0
+    with the cone's other rays."""
+    k = next(k for k, s in enumerate(fan.max_cones) if set(tau) <= set(s))
+    det, adj = fan.cone_inverse(k)
+    n = fan.rank
+    pos = [fan.max_cones[k].index(t) * n for t in tau]
+    return det, [adj[p:p + n] for p in pos]
+
+
 def restrict_to_orbit_closure(fan: Fan, d: TorusDivisor, tau: Cone):
     """Restriction of D to the orbit closure V(tau).
 
-    Returns (star_fan result, divisor on the star fan).  First subtracts a
-    rational principal divisor to make D trivial on tau; the resulting
+    Returns (star_fan result, divisor on the star fan).  First subtracts
+    the principal divisor of u = sum_{t in tau} d_t R_t / D, with R_t the
+    row of ray t in the integer inverse of a maximal cone containing tau
+    (`_tau_rows`), so that D becomes trivial on tau; the resulting
     per-cone functionals then descend to the quotient lattice, and the
-    restricted coefficient on the image of ray i is d'_i / b_i, where b_i
-    is the index of the image of v_i in the quotient.
+    restricted coefficient on the image of star ray i is d'_i / b_i, where
+    b_i is the index of the image of v_i in the quotient.
     """
-    rows = [fan.rays[i] for i in tau]
-    target = [d.coeffs[i] for i in tau]
-    u = solve_general(rows, target)
-    assert u is not None
-    dprime = d - principal_divisor(fan, u)
     sf = star_fan(fan, tau)
+    det, rows = _tau_rows(fan, tau)
+    u = [0] * fan.rank  # D·u
+    for t, row in zip(tau, rows):
+        u = [x + d.coeffs[t] * y for x, y in zip(u, row)]
     coeffs = [Fraction(0)] * len(sf.fan.rays)
     for i, j in sf.ray_map.items():
-        coeffs[j] = Fraction(dprime.coeffs[i]) / sf.b[i]
+        dprime = d.coeffs[i] - Fraction(vec_dot(u, fan.rays[i]), det)
+        coeffs[j] = dprime / sf.b[i]
     return sf, TorusDivisor(tuple(coeffs))
 
 
@@ -310,15 +325,15 @@ def one_ps_intersections(fan: Fan, c: OnePsCurve) -> tuple:
     sub = star.fan
     located = []
     for p in (w, tuple(-x for x in w)):
-        cone = sub.cone_containing(p)
-        if cone is None:
+        found = sub.cone_containing(p)
+        if found is None:
             raise DivisorError(f"{p} is outside the fan support")
-        located.append((cone,) + sub.scaled_coefficients(cone, p))
-    (cone_p, d_p, lam_p), (cone_m, d_m, lam_m) = located
+        located.append(found)
+    (k_p, d_p, lam_p), (k_m, d_m, lam_m) = located
     a = [0] * len(sub.rays)  # a_j · d_p · d_m
-    for j, x in zip(cone_p, lam_p):
+    for j, x in zip(sub.max_cones[k_p], lam_p):
         a[j] += x * d_m
-    for j, x in zip(cone_m, lam_m):
+    for j, x in zip(sub.max_cones[k_m], lam_m):
         a[j] += x * d_p
     m = lcm(*star.b.values())
     den = d_p * d_m * m
@@ -328,12 +343,8 @@ def one_ps_intersections(fan: Fan, c: OnePsCurve) -> tuple:
     out = [Fraction(x, den) for x in num]
     if c.tau:
         n = fan.rank
-        k, cone = next(
-            (k, s) for k, s in enumerate(fan.max_cones) if set(c.tau) <= set(s)
-        )
-        det, adj = fan.cone_inverse(k)
+        det, rows = _tau_rows(fan, c.tau)
         v = [sum(num[i] * fan.rays[i][r] for i in star.ray_map) for r in range(n)]
-        for t in c.tau:
-            p = cone.index(t) * n
-            out[t] = Fraction(-vec_dot(adj[p:p + n], v), det * den)
+        for t, row in zip(c.tau, rows):
+            out[t] = Fraction(-vec_dot(row, v), det * den)
     return tuple(out)

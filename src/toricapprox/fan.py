@@ -17,6 +17,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Optional, Sequence
 
+from toricapprox.invariant import check
 from toricapprox.lattice import (
     QuotientMap,
     primitive_part,
@@ -29,7 +30,6 @@ from toricapprox.linalg import (
     det_adjugate,
     mat_vec,
     nullspace,
-    solve_general,
     unimodular_inverse,
 )
 
@@ -107,40 +107,28 @@ class Fan:
         table = self.cone_inverses
         return table[k * w], table[k * w + 1:(k + 1) * w]
 
-    def scaled_coefficients(self, cone: Cone, point: Sequence):
-        """(D, R·point) for a maximal cone, whose barycentric coefficients
-        are R·point / D; None for any other cone."""
-        if len(cone) != self.rank or cone not in self.max_cones:
-            return None
-        d, adj = self.cone_inverse(self.max_cones.index(cone))
+    def scaled_coefficients(self, k: int, point: Sequence):
+        """(D, R·point) for the k-th maximal cone: point is the sum of
+        (R·point)_i / D times the cone's i-th ray."""
+        d, adj = self.cone_inverse(k)
         n = self.rank
         return d, [
             sum(map(mul, adj[s:s + n], point)) for s in range(0, n * n, n)
         ]
 
-    def cone_coefficients(self, cone: Cone, point: Sequence) -> Optional[tuple]:
-        """Barycentric coefficients of point in the cone, or None.
+    def contains(self, k: int, point: Sequence):
+        """`scaled_coefficients(k, point)` if the k-th maximal cone contains
+        the point, else None."""
+        scaled = self.scaled_coefficients(k, point)
+        return scaled if all(x >= 0 for x in scaled[1]) else None
 
-        Returns the unique rationals lam with point = sum lam_i v_i when the
-        point lies in the rational span of the cone's rays (all lam_i >= 0
-        iff the point is in the cone); None if the point is off the span.
-        """
-        scaled = self.scaled_coefficients(cone, point)
-        if scaled is None:
-            return solve_general(self.ray_matrix(cone), point)
-        d, num = scaled
-        return tuple(Fraction(x, d) for x in num)
-
-    def contains(self, cone: Cone, point: Sequence) -> bool:
-        scaled = self.scaled_coefficients(cone, point)
-        lam = scaled[1] if scaled else self.cone_coefficients(cone, point)
-        return lam is not None and all(x >= 0 for x in lam)
-
-    def cone_containing(self, point: Sequence) -> Optional[Cone]:
-        """Some maximal cone containing the point (first in stored order)."""
-        for c in self.max_cones:
-            if self.contains(c, point):
-                return c
+    def cone_containing(self, point: Sequence):
+        """(k, D, R·point) for the first maximal cone, in stored order, that
+        contains the point; None if there is none."""
+        for k in range(len(self.max_cones)):
+            scaled = self.contains(k, point)
+            if scaled is not None:
+                return (k,) + scaled
         return None
 
     def has_cone(self, cone: Cone) -> bool:
@@ -324,8 +312,9 @@ def wps_fan(weights: Sequence[int]) -> Fan:
         rays.append(quot.apply(e))
     cones = list(combinations(range(n + 1), n))
     fan = build_fan(n, rays, cones)
-    assert all(
-        sum(q[i] * fan.rays[i][r] for i in range(n + 1)) == 0 for r in range(n)
+    check(
+        all(sum(map(mul, q, col)) == 0 for col in zip(*fan.rays)),
+        "the rays must satisfy the weight relation",
     )
     return fan
 
@@ -440,8 +429,8 @@ def star_subdivision(fan: Fan, new_ray: Sequence[int]):
     new_index = len(fan.rays)
     replaced = {}
     new_cones = []
-    for c in fan.max_cones:
-        _, lam = fan.scaled_coefficients(c, v)
+    for k, c in enumerate(fan.max_cones):
+        _, lam = fan.scaled_coefficients(k, v)
         if min(lam) < 0:
             new_cones.append(c)
             continue
@@ -516,10 +505,14 @@ def recognize_fwps(fan: Fan) -> FwpsData:
         tuple(int(x) for x in mat_vec(ambient_to_cover, v)) for v in fan.rays
     ]
     cover = build_fan(n, cover_rays, fan.max_cones)
-    assert cover.rays == tuple(tuple(r) for r in cover_rays), (
-        "cover rays must already be primitive"
+    check(
+        cover.rays == tuple(tuple(r) for r in cover_rays),
+        "cover rays must already be primitive",
     )
-    assert sublattice_index(cover.rays, n) == 1
+    check(
+        sublattice_index(cover.rays, n) == 1,
+        "the cover rays must generate the cover lattice",
+    )
     return FwpsData(
         fan=fan,
         weights=rel,

@@ -9,8 +9,10 @@ favour clarity over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
+
+from toricapprox.invariant import check
 
 Vec = tuple
 Mat = tuple
@@ -38,92 +40,89 @@ def det(m: Sequence) -> int:
     return det_adjugate(m)[0]
 
 
-def _rref(m: list, cols: int) -> list:
-    """Gauss-Jordan over Fractions, in place, on the first cols columns of
-    the rows m; pivot rows are scaled to 1.  Returns the pivot columns."""
-    pivots = []
+def _eliminate(rows: list, cols: int):
+    """Fraction-free Gauss-Jordan, in place, on integer rows (Bareiss 1968).
+
+    Pivots are sought in the first cols columns; a column with none is
+    skipped.  Every entry stays a minor of the input, so each division is
+    exact.  On exit pivot row i is p times row i of the reduced row echelon
+    form.  Returns (pivot columns, p, sign of the row swaps); p = 1 when
+    there is no pivot.
+    """
+    pivots, sign, prev = [], 1, 1
     for col in range(cols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        p = pivot_row[col]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][col]
+                rows[i] = [
+                    (p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)
+                ]
+        prev = p
         pivots.append(col)
-    return pivots
+    return pivots, prev, sign
 
 
 def rank(m: Sequence) -> int:
-    rows = [[Fraction(x) for x in row] for row in m]
-    return len(_rref(rows, len(rows[0]) if rows else 0))
+    rows = [clear_denominators(row) for row in m]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def det_adjugate(m: Sequence):
     """(det m, adj m) of a square integer matrix, by fraction-free elimination.
 
-    Bareiss's Gauss-Jordan variant on [m | I]: every intermediate entry is a
-    minor of the augmented matrix, so each division is exact and no Fraction
-    is made.  On exit the left block is p·I and the right block p·m^-1, with
-    p the last pivot, which is det m up to the sign of the row swaps.
-    Returns (0, None) when m is singular.
+    `_eliminate` on [m | I] leaves p·I on the left and p·m^-1 on the right,
+    with p = det m up to the sign of the row swaps.  Returns (0, None) when
+    m is singular.
     """
     n = len(m)
     a = [
         list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)
     ]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [
-                    (p * x - f * y) // prev for x, y in zip(a[i], pivot_row)
-                ]
-        prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+    pivots, p, sign = _eliminate(a, n)
+    if len(pivots) < n:
+        return 0, None
+    return sign * p, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def unimodular_inverse(u: Sequence) -> tuple:
     """Exact integer inverse of a matrix with determinant +-1 (rows)."""
     d, adj = det_adjugate(u)
-    assert d in (1, -1), "matrix is not unimodular"
+    check(d in (1, -1), "matrix is not unimodular")
     return tuple(tuple(d * x for x in row) for row in adj)
 
 
 def solve_general(a: Sequence, b: Sequence):
     """One rational solution of a·x = b (possibly under/overdetermined).
 
-    Returns None when inconsistent.
+    Free variables are 0, as in reduced row echelon form.  Returns None
+    when inconsistent.
     """
     cols = len(a[0]) if a else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    pivots = _rref(aug, cols)
-    if any(row[cols] != 0 for row in aug[len(pivots):]):
+    aug = [clear_denominators(tuple(row) + (y,)) for row, y in zip(a, b)]
+    pivots, p, _ = _eliminate(aug, cols)
+    if any(row[cols] for row in aug[len(pivots):]):
         return None
     x = [Fraction(0)] * cols
     for i, col in enumerate(pivots):
-        x[col] = aug[i][cols]
+        x[col] = Fraction(aug[i][cols], p)
     return tuple(x)
 
 
 def nullspace(a: Sequence):
-    """Basis of the rational kernel of a (list of Fraction tuples)."""
+    """Basis of the rational kernel of a (list of Fraction tuples), one
+    vector per non-pivot column, as read off reduced row echelon form."""
     cols = len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] for row in a]
-    pivots = _rref(m, cols)
+    m = [clear_denominators(row) for row in a]
+    pivots, p, _ = _eliminate(m, cols)
     basis = []
     for fc in range(cols):
         if fc in pivots:
@@ -131,26 +130,17 @@ def nullspace(a: Sequence):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
+            v[pc] = Fraction(-m[i][fc], p)
         basis.append(tuple(v))
     return basis
 
 
 def clear_denominators(v: Sequence[Fraction]) -> tuple:
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    from math import lcm
-
-    denoms = [Fraction(x).denominator for x in v]
-    mult = 1
-    for d in denoms:
-        mult = lcm(mult, d)
+    mult = lcm(*(Fraction(x).denominator for x in v))
     ints = [int(Fraction(x) * mult) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def nonneg_combination(columns: Sequence, target: Sequence):

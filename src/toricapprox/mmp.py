@@ -19,6 +19,7 @@ from toricapprox.fan import (
     build_fan,
     star_subdivision,
 )
+from toricapprox.invariant import check
 from toricapprox.lattice import primitive_part, _quotient_by_span
 from toricapprox.linalg import nonneg_combination, vec_dot
 from toricapprox.divisor import (
@@ -243,7 +244,7 @@ def push_divisor(res: ContractionResult, d: TorusDivisor) -> TorusDivisor:
     """Pushforward of a divisor trivial on the contracted ray.
 
     Defined exactly when d is a pullback, i.e. d·C = 0 on the contracted
-    class; the result pulls back to d (asserted).
+    class; the result pulls back to d (checked).
     """
     fan, target = res.source, res.target
     if res.kind == DIVISORIAL:
@@ -256,7 +257,7 @@ def push_divisor(res: ContractionResult, d: TorusDivisor) -> TorusDivisor:
         # collapsed ray's coefficient.
         sf = support_function(target, out)
         e = res.exc_cone[0]
-        assert sf(fan.rays[e]) == d.coeffs[e], "divisor is not a pullback"
+        check(sf(fan.rays[e]) == d.coeffs[e], "divisor is not a pullback")
         return out
     # Mori fiber: coefficients descend along the quotient with the index of
     # each ray image; rays collapsing to 0 must carry coefficient 0.
@@ -265,10 +266,10 @@ def push_divisor(res: ContractionResult, d: TorusDivisor) -> TorusDivisor:
         img = tuple(vec_dot(row, v) for row in res.quotient_projection)
         j = res.ray_map[i]
         if j is None:
-            assert d.coeffs[i] == 0, "divisor is not a pullback"
+            check(d.coeffs[i] == 0, "divisor is not a pullback")
             continue
         val = Fraction(d.coeffs[i]) / gcd(*img)
-        assert coeffs[j] is None or coeffs[j] == val, "divisor is not a pullback"
+        check(coeffs[j] is None or coeffs[j] == val, "divisor is not a pullback")
         coeffs[j] = val
     return TorusDivisor(tuple(coeffs))
 
@@ -390,8 +391,11 @@ def step_a(fan: Fan, d: TorusDivisor):
             best, chosen = val, r
     k = canonical_divisor(fan)
     shifted = d + best * k
-    assert intersect(fan, shifted, chosen.curve) == 0
-    assert is_nef(fan, shifted)
+    check(
+        intersect(fan, shifted, chosen.curve) == 0,
+        "D + aK must kill the chosen ray",
+    )
+    check(is_nef(fan, shifted), "D + aK must stay nef")
     return best, chosen
 
 
@@ -457,7 +461,7 @@ def run_mmp_chain(
     sets away from exc).
     """
     p_orbit = fan.require_cone(p_orbit)
-    assert is_nef(fan, d), "the MMP runner needs a nef divisor"
+    check(is_nef(fan, d), "the MMP runner needs a nef divisor")
     budget = max_steps if max_steps is not None else 10 * len(fan.rays)
     steps = []
     cur_fan, cur_d, cur_p = fan, d, p_orbit

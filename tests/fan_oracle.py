@@ -6,6 +6,12 @@ the extreme rays of the intersection), and every direction of the 3^rank
 grid must lie in some maximal cone.  It serves as the differential oracle
 for `toricapprox.fan.build_fan`, which uses a sign-test certificate.
 
+`reference_rank`, `reference_solve_general` and `reference_nullspace` are
+Gauss-Jordan over Fractions, with pivot rows scaled to 1, and
+`reference_det_adjugate` is Gaussian elimination over Fractions; they are
+the references for the fraction-free elimination of `toricapprox.linalg`,
+and the validator below uses them.
+
 `reference_off_ray_index` computes the index of an off-wall ray's image in
 N / sat(span(wall)) from an explicit quotient lattice; it is the reference
 for the `beta_a` / `beta_b` that `toricapprox.divisor.wall_curves` reads
@@ -19,14 +25,87 @@ from itertools import combinations, product
 
 from toricapprox.fan import NotAFan, NotComplete, NotSimplicial
 from toricapprox.lattice import primitive_part, quotient_lattice
-from toricapprox.linalg import (
-    clear_denominators,
-    det,
-    nullspace,
-    rank,
-    solve_general,
-    vec_dot,
-)
+from toricapprox.linalg import clear_denominators, vec_dot
+
+
+def _rref(m, cols):
+    """Gauss-Jordan over Fractions, in place, on the first cols columns of
+    the rows m; pivot rows are scaled to 1.  Returns the pivot columns."""
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots
+
+
+def reference_rank(m):
+    rows = [[Fraction(x) for x in row] for row in m]
+    return len(_rref(rows, len(rows[0]) if rows else 0))
+
+
+def reference_solve_general(a, b):
+    """One rational solution of a·x = b with free variables 0, or None."""
+    cols = len(a[0]) if a else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    pivots = _rref(aug, cols)
+    if any(row[cols] != 0 for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * cols
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][cols]
+    return tuple(x)
+
+
+def reference_nullspace(a):
+    """Kernel basis, one vector per non-pivot column of the RREF."""
+    cols = len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = _rref(m, cols)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_det_adjugate(m):
+    """(det m, adj m) of a square matrix over Fractions; (0, None) when
+    singular.  det is the signed product of the pivots, adj = det·m^-1."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    inverse = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    _rref(inverse, n)
+    return det, tuple(tuple(det * x for x in row[n:]) for row in inverse)
 
 
 def solve_square(a, b):
@@ -56,12 +135,12 @@ def cone_extreme_rays(inequalities, equalities, dim):
     cons = [tuple(row) for row in inequalities]
     eqs = [tuple(row) for row in equalities]
     found = {}
-    need = dim - 1 - rank(eqs) if eqs else dim - 1
+    need = dim - 1 - reference_rank(eqs) if eqs else dim - 1
     if need < 0:
         need = 0
     for subset in combinations(range(len(cons)), need):
         system = eqs + [cons[i] for i in subset]
-        kern = nullspace(system) if system else [
+        kern = reference_nullspace(system) if system else [
             tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)
         ]
         if len(kern) != 1:
@@ -101,7 +180,7 @@ def validate_pairwise_faces(rank_, rays, max_cones):
 
 def _in_cone(rays, cone, point):
     m = tuple(tuple(rays[i][r] for i in cone) for r in range(len(point)))
-    lam = solve_general(m, point)
+    lam = reference_solve_general(m, point)
     return lam is not None and all(x >= 0 for x in lam)
 
 
@@ -125,7 +204,7 @@ def reference_build(rank_, rays, max_cones):
         if any(i < 0 or i >= len(prim) for i in c):
             raise NotAFan(f"cone {c} references a missing ray")
         m = tuple(tuple(prim[i][r] for i in c) for r in range(rank_))
-        if det(m) == 0:
+        if reference_det_adjugate(m)[0] == 0:
             raise NotSimplicial(f"rays of cone {c} are dependent")
     if {i for c in cones for i in c} != set(range(len(prim))):
         raise NotAFan("unused rays in ray table")

@@ -1,8 +1,11 @@
 """Approximation constants, certificate transport, and the driver."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+from conftest import all_orbit_cones, random_fan_suite
 
 from toricapprox.approx import (
     INFINITY,
@@ -114,6 +117,49 @@ def test_pn_blowup_line_p3_point():
     res = contract(blown, ray)
     cert = pn_blowup_line(res, ())
     assert cert.minus_k == 3 + 1 - 2  # n+1-r with n=3, r=2
+
+
+@pytest.mark.parametrize(
+    "n, v_e, codim, disc, minus_k",
+    [
+        (2, (2, 1), 2, 2, 2),
+        (2, (3, 1), 2, 3, 2),
+        (3, (2, 1, 1), 3, 3, Fraction(5, 2)),
+        (3, (3, 2, 1), 3, 5, Fraction(7, 3)),
+    ],
+)
+def test_pn_blowup_line_weighted_center(n, v_e, codim, disc, minus_k):
+    # v_E = sum a_i v_i with some a_i > 1: disc = sum a_i - 1 and E·C < 1,
+    # so -K·C = n+1 - disc·(E·C).  The line used to fail its assertion
+    # that it meets the center transversally once.
+    blown, _ = star_subdivision(projective_space_fan(n), v_e)
+    e = blown.rays.index(v_e)
+    ray = next(
+        r
+        for r in mori_extremal_rays(blown)
+        if r.is_k_negative
+        and classify_contraction(blown, r) == (DIVISORIAL, (e,))
+    )
+    cert = pn_blowup_line(contract(blown, ray), ())
+    assert cert.minus_k == minus_k <= n
+    assert cert.trace == (
+        "strict transform of a line through the blown-up center "
+        f"(codimension {codim}, discrepancy {disc})",
+    )
+
+
+def test_driver_weighted_centers_on_every_orbit():
+    # 13 of these 33 orbits used to fail in pn_blowup_line on a centre
+    # with v_E = sum a_i v_i, some a_i > 1.
+    fan, d = random_fan_suite(random.Random(1), 1)[0]
+    traces = set()
+    for orbit in all_orbit_cones(fan):
+        res = theorem16_driver(fan, d, orbit, assume_canonically_bounded=True)
+        traces.update(res.certificate.trace)
+    assert (
+        "strict transform of a line through the blown-up center "
+        "(codimension 3, discrepancy 3)"
+    ) in traces
 
 
 def test_pn_blowup_line_needs_divisorial(f1):

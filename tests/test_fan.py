@@ -1,6 +1,10 @@
 """Fan construction, validation, terminality, star fans, recognition."""
 
+import random
+
 import pytest
+
+from conftest import random_fan_suite
 
 from toricapprox.fan import (
     BadWeights,
@@ -169,3 +173,25 @@ def test_recognize_fwps_rejects_extra_rays(f1):
 def test_is_projective_space_negative(wps112, p2_mu3):
     assert not is_projective_space(wps112)
     assert not is_projective_space(p2_mu3)
+
+
+def test_cone_containing_locates_first_cone():
+    # (k, D, num) with sum num_i v_i = D·p over the k-th cone's rays, all
+    # num_i >= 0, and no earlier cone has all coefficients >= 0.
+    rng = random.Random(5)
+    for fan, _ in random_fan_suite(random.Random(6), 12):
+        points = list(fan.rays) + [
+            tuple(rng.randint(-4, 4) for _ in range(fan.rank)) for _ in range(20)
+        ]
+        for p in points:
+            k, d, num = fan.cone_containing(p)
+            cone = fan.max_cones[k]
+            assert d > 0 and min(num) >= 0
+            assert all(
+                sum(x * fan.rays[i][r] for x, i in zip(num, cone)) == d * p[r]
+                for r in range(fan.rank)
+            )
+            assert fan.contains(k, p) == (d, num)
+            for j in range(k):
+                assert fan.contains(j, p) is None
+                assert min(fan.scaled_coefficients(j, p)[1]) < 0

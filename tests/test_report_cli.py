@@ -316,3 +316,19 @@ def test_cli_fan_string_rank_exit_3(tmp_path, capsys):
 
 def test_cli_fan_bool_entry_exit_3(tmp_path, capsys):
     _assert_fan_refused(tmp_path, capsys, dict(P2_DOC, rays=[[True, 0], [0, 1], [-1, -1]]))
+
+
+@pytest.mark.parametrize("weights", ["0,0,0", "1,2,0", "-1,2,3"])
+def test_cli_casestudy_search_non_positive_weights_exit_3(weights, capsys):
+    # "0,0,0" and "1,2,0" used to end in a ZeroDivisionError traceback, and
+    # "-1,2,3" was searched as if it were a weighted plane.
+    argv = ["casestudy", "search", f"--weights={weights}", "--cap", "5"]
+    assert main(argv) == EXIT_INPUT
+    assert "positive ints" in _input_error(capsys)
+
+
+def test_cli_casestudy_search_two_weights_exit_3(capsys):
+    # Used to end in a DimensionError traceback.
+    argv = ["casestudy", "search", "--weights", "1,1", "--cap", "5"]
+    assert main(argv) == EXIT_INPUT
+    assert "planes only" in _input_error(capsys)
