@@ -51,10 +51,6 @@ class NotPnDownstream(ApproxError):
     pass
 
 
-class AssumptionRequired(ApproxError):
-    """An explicit assumption flag (canonical boundedness) is missing."""
-
-
 class _Infinity:
     """Positive infinity for approximation constants, kept out of float land."""
 

@@ -349,6 +349,7 @@ def curve_alpha_search(
     q = tuple(q)
     if any(type(x) is not int or x <= 0 for x in q):
         raise CaseStudyError(f"weights must be positive ints, got {q}")
+    wps_fan(q)  # BadWeights unless coprime and well-formed
     big = prod(q)
     cands = []
     for d in range(1, degree_cap + 1):

@@ -233,7 +233,7 @@ def cmd_casestudy(args) -> int:
             raise InputError(f"invalid weights {args.weights!r}") from exc
         try:
             cands = curve_alpha_search(weights, args.cap, context)
-        except CaseStudyError as exc:
+        except (CaseStudyError, FanError) as exc:
             raise InputError(f"invalid weights {args.weights!r}: {exc}") from exc
         _emit(report.candidates_to_doc(cands), args.format)
         return EXIT_OK

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from toricapprox.fan import Cone, Fan, star_fan
+from toricapprox.fan import Cone, Fan, per_fan, star_fan
 from toricapprox.invariant import check
 from toricapprox.lattice import primitive_part
 from toricapprox.linalg import solve_general, vec_dot
@@ -50,9 +49,6 @@ class TorusDivisor:
 
     def __neg__(self) -> "TorusDivisor":
         return TorusDivisor(tuple(-a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 def canonical_divisor(fan: Fan) -> TorusDivisor:
@@ -102,7 +98,7 @@ class SupportFunction:
         return Fraction(vec_dot(self.functionals[found[0]], point))
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def support_function(fan: Fan, d: TorusDivisor) -> SupportFunction:
     """The unique function linear on each maximal cone with value d_i at v_i.
 
@@ -150,7 +146,7 @@ class WallCurve:
         return tuple(i for i, b in enumerate(self.relation) if b < 0)
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def wall_curves(fan: Fan) -> tuple:
     """One WallCurve per wall of the fan, in lexicographic wall order.
 

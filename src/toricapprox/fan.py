@@ -9,13 +9,14 @@ immutable after construction; every query is a pure function.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations, product
 from math import gcd, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from toricapprox.invariant import check
 from toricapprox.lattice import (
@@ -30,7 +31,6 @@ from toricapprox.linalg import (
     det_adjugate,
     mat_vec,
     nullspace,
-    unimodular_inverse,
 )
 
 Cone = tuple
@@ -96,7 +96,7 @@ class Fan:
     def cone_inverses(self) -> tuple:
         """Per maximal cone, D = |det M| then R = D·M^-1 row-major, for M
         the cone's ray matrix: <R_i, v_j> = D·delta_ij.  One flat int tuple
-        keeps the fans held by caches small; build_fan fills it."""
+        keeps interned fans small; build_fan fills it."""
         return tuple(
             x for c in self.max_cones for x in _cone_inverse(self.rays, c)
         )
@@ -144,13 +144,6 @@ class Fan:
             raise ConeNotInFan(f"{cone} is not a cone of the fan")
         return cone
 
-    def ray_index(self, v: Sequence) -> Optional[int]:
-        v = tuple(v)
-        for i, r in enumerate(self.rays):
-            if r == v:
-                return i
-        return None
-
 
 def _cone_inverse(rays, cone) -> tuple:
     """(D, R flat) with D = |det M| and R = D·M^-1 for the cone's ray matrix
@@ -164,12 +157,47 @@ def _cone_inverse(rays, cone) -> tuple:
     return (s * d,) + tuple(s * x for row in adj for x in row)
 
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_MISSING = object()
+
+
+def per_fan(fn):
+    """Memoize fn(fan, *args) on the fan itself.
+
+    The values sit in a dict in the fan's own __dict__, as a
+    `cached_property` value does, so they are freed with the fan.
+    `cache_info()` reads like `lru_cache`'s; its currsize is the number of
+    values made, over all fans, not the number still alive.
+    """
+    slot = f"{fn.__module__}.{fn.__qualname__}"
+    counts = [0, 0, 0]  # hits, misses, values made
+
+    @wraps(fn)
+    def memo(fan, *args):
+        values = fan.__dict__.setdefault(slot, {})
+        value = values.get(args, _MISSING)
+        if value is _MISSING:
+            counts[1] += 1
+            value = values[args] = fn(fan, *args)
+            counts[2] += 1
+        else:
+            counts[0] += 1
+        return value
+
+    memo.cache_info = lambda: _CacheInfo(counts[0], counts[1], None, counts[2])
+    return memo
+
+
 def build_fan(rank: int, rays: Sequence, max_cones: Sequence) -> Fan:
     """Validate and construct a complete simplicial fan.
 
     Ray vectors are replaced by their primitive parts.  Rejects
     non-simplicial cones (NotSimplicial), missing support (NotComplete),
     and overlapping or face-incompatible cones (NotAFan).
+
+    Fans are interned: equal input, as lists or tuples, returns the same Fan
+    while it is among the last 512 inputs, so values memoized on a fan
+    (`per_fan`) are shared.  Only a miss validates; bad input always raises.
 
     Validation is the pseudomanifold-plus-one-point certificate for
     triangulations (De Loera, Rambau and Santos, *Triangulations*, 2010,
@@ -195,6 +223,11 @@ def build_fan(rank: int, rays: Sequence, max_cones: Sequence) -> Fan:
     passes 1-3.  All three are sign tests against the cones' integer
     inverses (`Fan.cone_inverses`), one fraction-free elimination per cone.
     """
+    return _build_fan(rank, tuple(map(tuple, rays)), tuple(map(tuple, max_cones)))
+
+
+@lru_cache(maxsize=512)
+def _build_fan(rank: int, rays: tuple, max_cones: tuple) -> Fan:
     if rank < 0:
         raise NotAFan(f"negative rank {rank}")
     if any(len(v) != rank for v in rays):
@@ -319,7 +352,7 @@ def wps_fan(weights: Sequence[int]) -> Fan:
     return fan
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def cone_multiplicity(fan: Fan, cone: Cone) -> int:
     """Index of the cone's ray lattice inside the saturation of its span.
 
@@ -328,7 +361,7 @@ def cone_multiplicity(fan: Fan, cone: Cone) -> int:
     cone = fan.require_cone(cone)
     if not cone:
         return 1
-    diag, _, _ = smith_normal_form([fan.rays[i] for i in cone])
+    diag = smith_normal_form([fan.rays[i] for i in cone])[0]
     return prod(d for d in diag if d != 0)
 
 
@@ -345,8 +378,7 @@ def _has_interior_points(fan: Fan, k: int) -> bool:
     d, adj = fan.cone_inverse(k)
     if d == 1:
         return False
-    diag, u, _ = smith_normal_form(fan.ray_matrix(fan.max_cones[k]))
-    uinv = unimodular_inverse(u)
+    diag, _, _, uinv = smith_normal_form(fan.ray_matrix(fan.max_cones[k]))
     rows = [adj[i * n:(i + 1) * n] for i in range(n)]
     for y in product(*(range(e) for e in diag)):
         x = mat_vec(uinv, y)
@@ -356,7 +388,7 @@ def _has_interior_points(fan: Fan, k: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def is_terminal(fan: Fan):
     """Terminality of the toric variety: no lattice points in any maximal
     cone's simplex conv({0} union rays) beyond 0 and the rays.
@@ -385,14 +417,10 @@ class StarFanResult:
     b: dict
 
 
+@per_fan
 def star_fan(fan: Fan, tau: Cone) -> StarFanResult:
     """Fan of the orbit closure V(tau): quotient the star of tau by span(tau)."""
-    return _star_fan_cached(fan, tuple(sorted(tau)))
-
-
-@lru_cache(maxsize=None)
-def _star_fan_cached(fan: Fan, tau: Cone) -> StarFanResult:
-    fan.require_cone(tau)
+    tau = fan.require_cone(tau)
     if not tau:
         quot = quotient_lattice([], fan.rank)
         ray_map = {i: i for i in range(len(fan.rays))}
@@ -469,7 +497,7 @@ class FwpsData:
     group_factors: tuple
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def recognize_fwps(fan: Fan) -> FwpsData:
     """Decide whether the fan is a fake weighted projective space.
 
@@ -491,10 +519,9 @@ def recognize_fwps(fan: Fan) -> FwpsData:
         rel = tuple(-x for x in rel)
     if not all(x > 0 for x in rel):
         raise NotFwps(f"ray relation {rel} is not positive")
-    diag, u, _ = smith_normal_form(cols)
+    diag, u, _, uinv = smith_normal_form(cols)
     index = prod(diag)
     # Basis of the ray-generated sublattice N' as columns: B = u^{-1}·diag(d).
-    uinv = unimodular_inverse(u)
     cover_to_ambient = tuple(
         tuple(uinv[r][j] * diag[j] for j in range(n)) for r in range(n)
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 from toricapprox.fan import (
@@ -27,14 +27,8 @@ from toricapprox.fan import (
     recognize_fwps,
     star_fan,
 )
-from toricapprox.lattice import primitive_part, _quotient_by_span
-from toricapprox.linalg import (
-    mat_mul,
-    mat_vec,
-    solve_general,
-    unimodular_inverse,
-    vec_dot,
-)
+from toricapprox.lattice import primitive_part, smith_normal_form, _quotient_by_span
+from toricapprox.linalg import mat_mul, mat_vec, solve_general, vec_dot
 from toricapprox.divisor import (
     OnePsCurve,
     TorusDivisor,
@@ -162,7 +156,7 @@ def wps_curve_all_leq1(fan: Fan, p_orbit: Sequence = ()) -> CurveCertificate:
             trace=("dimension 1: the curve is the whole space",),
             assumptions=("a torus-translate of the curve passes through P",),
         )
-        assert max(cert.intersections) <= 1
+        check(max(cert.intersections) <= 1, "every D_i·C must be at most 1")
         return cert
     if set(p_orbit) <= {i0}:
         curve = OnePsCurve((), fan.rays[i0])
@@ -177,7 +171,7 @@ def wps_curve_all_leq1(fan: Fan, p_orbit: Sequence = ()) -> CurveCertificate:
             assumptions=("a torus-translate of the curve passes through P",),
         )
         expect = tuple(Fraction(a, a0) for a in weights)
-        assert cert.intersections == expect, (cert.intersections, expect)
+        check(cert.intersections == expect, "D_i·C must be a_i / a_max")
         return cert
     j = next(i for i in p_orbit if i != i0)
     star = star_fan(fan, (j,))
@@ -194,7 +188,7 @@ def wps_curve_all_leq1(fan: Fan, p_orbit: Sequence = ()) -> CurveCertificate:
         trace=(f"recursed into the orbit closure of ray {j}",) + sub.trace,
         assumptions=sub.assumptions,
     )
-    assert max(cert.intersections) <= 1
+    check(max(cert.intersections) <= 1, "every D_i·C must be at most 1")
     return cert
 
 
@@ -236,7 +230,7 @@ def mu_p_normalize(residues: Sequence[int], p: int) -> MuPAction:
         if best is None or m < best[0]:
             best = (m, j, patch)
     m, j, patch = best
-    assert m <= Fraction(p * n, n + 1), "pigeonhole bound on the best chart"
+    check(m <= Fraction(p * n, n + 1), "pigeonhole bound on the best chart")
     base = min(res)
     weights = tuple(sorted(((x - base) % p for x in res), reverse=True))
     return MuPAction(p, weights, j, patch)
@@ -260,7 +254,7 @@ def mu_p_residues(data: FwpsData) -> tuple:
         if any(Fraction(x).denominator == p for x in img):
             xi = img
             break
-    assert xi is not None, "a standard basis vector generates N/N'"
+    check(xi is not None, "a standard basis vector generates N/N'")
     res = []
     for i in range(n):
         # m_i: <m_i, v'_k> = delta_ki - delta_kn over the cover rays.
@@ -301,9 +295,7 @@ def mu_p_torus_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate
         for r in range(n)
     )
     ambient = tuple(int(x) for x in mat_vec(data.cover_to_ambient, omega))
-    assert all(x % p == 0 for x in ambient), (
-        "the equivariant cover curve descends: omega/p lies in N"
-    )
+    check(all(x % p == 0 for x in ambient), "the cover curve descends: omega/p in N")
     curve = OnePsCurve((), primitive_part(ambient))
     cert = make_certificate(
         data.fan,
@@ -315,7 +307,10 @@ def mu_p_torus_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate
         ),
         assumptions=("a torus-translate of the curve passes through P",),
     )
-    assert cert.minus_k <= Fraction((n + 1) * max(act.patch_weights), p)
+    check(
+        cert.minus_k <= Fraction((n + 1) * max(act.patch_weights), p),
+        "-K·C is at most (n+1)·max(patch weights)/p",
+    )
     return cert
 
 
@@ -347,9 +342,7 @@ def classify_boundary(data: FwpsData, ray: int):
             if cone_multiplicity(data.fan, tuple(sorted((ray, i)))) > 1
         )
         return "wps", star, witness
-    assert sub.cover_index == data.cover_index, (
-        "the divisor's cover group must be the full mu_p"
-    )
+    check(sub.cover_index == data.cover_index, "the divisor's cover group must be all of mu_p")
     return "pn_mod_p", star, None
 
 
@@ -371,7 +364,7 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
     if data.cover_index == 1:
         cert = wps_curve_all_leq1(fan, p_orbit)
         if is_terminal(fan)[0] and not is_projective_space(fan):
-            assert cert.minus_k <= n, "terminal non-projective-space bound"
+            check(cert.minus_k <= n, "terminal non-projective-space bound")
         return cert
     if not all(w == 1 for w in data.weights):
         # Lift to the weighted-projective cover; orbit cones correspond.
@@ -392,7 +385,7 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
             assumptions=sub.assumptions
             + ("P lifts to a rational point of the cover",),
         )
-        assert cert.minus_k <= sub.minus_k, "descent cannot raise -K·C"
+        check(cert.minus_k <= sub.minus_k, "descent cannot raise -K·C")
         return cert
     # Cover is projective space; factor through a prime-order quotient.
     q = data.cover_index
@@ -413,7 +406,7 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
             assumptions=sub.assumptions
             + ("P lifts to a rational point of the intermediate quotient",),
         )
-        assert cert.minus_k <= sub.minus_k, "descent cannot raise -K·C"
+        check(cert.minus_k <= sub.minus_k, "descent cannot raise -K·C")
         return cert
     # W = P^n / mu_p.
     if not p_orbit:
@@ -461,30 +454,23 @@ def _intermediate_quotient(data: FwpsData, p: int) -> _Intermediate:
     xi = None
     for cand in _basis_vectors(n):
         img = mat_vec(data.ambient_to_cover, cand)
-        denom = 1
-        for x in img:
-            f = Fraction(x)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
+        denom = lcm(*(Fraction(x).denominator for x in img))
         if denom % p == 0:
             xi = tuple((denom // p) * c for c in cand)
             break
-    assert xi is not None, "some basis class has order divisible by p"
+    check(xi is not None, "some basis class has order divisible by p")
     # Basis of N'' = Z-span of (cover basis columns) + xi, via the Smith
     # form of the generator matrix: col span of A = col span of U^{-1}·D.
-    from toricapprox.lattice import smith_normal_form
-
     gens = [tuple(col) for col in zip(*data.cover_to_ambient)] + [tuple(xi)]
     cols = tuple(tuple(g[r] for g in gens) for r in range(n))
-    diag, u, _ = smith_normal_form(cols)
-    uinv = unimodular_inverse(u)
+    diag, _, _, uinv = smith_normal_form(cols)
     to_ambient = tuple(
         tuple(uinv[r][k] * diag[k] for k in range(n)) for r in range(n)
     )
     # Rays of W in N'' coordinates.
-    new_rays = []
-    for v in data.fan.rays:
-        coords = solve_general(to_ambient, v)
-        new_rays.append(tuple(int(x) for x in coords))
+    new_rays = [
+        tuple(int(x) for x in solve_general(to_ambient, v)) for v in data.fan.rays
+    ]
     fan2 = build_fan(n, new_rays, data.fan.max_cones)
     return _Intermediate(fan2, to_ambient)
 
@@ -545,7 +531,7 @@ def base_case_curve(
     p_orbit = tuple(sorted(p_orbit))
     if not orbit_in_exc(p_orbit, exc):
         raise FwpsError("P is not in the exceptional locus of this ray")
-    assert intersect(fan, d, ray.curve) == 0, "D must kill the contracted ray"
+    check(intersect(fan, d, ray.curve) == 0, "D must kill the contracted ray")
     fib = fiber_fwps(fan, ray)
     if fib.fan.rank == fan.rank:
         # The fiber is the whole space (contraction to a point).
@@ -582,9 +568,10 @@ def base_case_curve(
         trace=trace,
         assumptions=sub.assumptions,
     )
-    assert cert.minus_k <= sub_minus_k, "ambient -K·C must not exceed the fiber's"
-    assert one_ps_degree(fan, d, cert.curve) == 0, (
-        "D is pulled back from the base, so the fiber curve has degree 0"
+    check(cert.minus_k <= sub_minus_k, "ambient -K·C must not exceed the fiber's")
+    check(
+        one_ps_degree(fan, d, cert.curve) == 0,
+        "D is pulled back from the base, so the fiber curve has degree 0",
     )
     return cert
 

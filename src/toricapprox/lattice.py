@@ -8,10 +8,10 @@ is arbitrary precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
-from toricapprox.linalg import identity, mat_vec, rank, unimodular_inverse
+from toricapprox.linalg import identity, mat_vec, rank
 
 
 class LatticeError(ValueError):
@@ -33,20 +33,24 @@ class DependentKernel(LatticeError):
 def smith_normal_form(m: Sequence[Sequence[int]]):
     """Smith normal form of an integer matrix.
 
-    Returns (diag, u, v) with u·m·v diagonal, d1 | d2 | ..., and u, v
-    unimodular.  diag is the tuple of diagonal entries (length
-    min(rows, cols)), all >= 0.  Elementary row/column reduction with the
-    minimal-absolute-value pivot rule.
+    Returns (diag, u, v, u_inv) with u·m·v diagonal, d1 | d2 | ..., u and
+    v unimodular and u_inv = u^-1.  diag is the tuple of diagonal entries
+    (length min(rows, cols)), all >= 0.  Elementary row/column reduction
+    with the minimal-absolute-value pivot rule; each row operation on u is
+    applied to u_inv as the inverse column operation.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(row) for row in m]
     u = [list(r) for r in identity(rows)]
     v = [list(r) for r in identity(cols)]
+    u_inv = [list(r) for r in identity(rows)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -57,6 +61,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     def add_row(src, dst, c):
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        for row in u_inv:
+            row[src] -= c * row[dst]
 
     def add_col(src, dst, c):
         for row in a:
@@ -67,6 +73,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for row in u_inv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(rows, cols):
@@ -111,7 +119,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
             continue
         t += 1
     diag = tuple(a[i][i] for i in range(min(rows, cols)))
-    return diag, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+    return (diag,) + tuple(tuple(map(tuple, x)) for x in (u, v, u_inv))
 
 
 def sublattice_index(gens: Sequence[Sequence[int]], ambient_rank: int) -> int:
@@ -123,11 +131,7 @@ def sublattice_index(gens: Sequence[Sequence[int]], ambient_rank: int) -> int:
         raise NotFullRank(
             f"generators span a rank-{rank(gens)} subspace of rank {ambient_rank}"
         )
-    diag, _, _ = smith_normal_form(list(gens))
-    idx = 1
-    for d in diag:
-        idx *= d
-    return idx
+    return prod(smith_normal_form(list(gens))[0])
 
 
 def primitive_part(v: Sequence[int]) -> tuple:
@@ -175,11 +179,10 @@ def _quotient_by_span(gens: Sequence[Sequence[int]], ambient_rank: int) -> Quoti
     # Columns of the matrix are the generators; u rotates Z^n so that the
     # saturated span becomes the first k coordinates.
     cols = tuple(zip(*gens))
-    _, u, _ = smith_normal_form(cols)
+    _, u, _, uinv = smith_normal_form(cols)
     proj = tuple(u[k:])
-    # u is unimodular; invert it exactly to read off kernel basis and section.
+    # The columns of u^-1 give the kernel basis and the section.
     n = ambient_rank
-    uinv = unimodular_inverse(u)
     kernel_basis = tuple(tuple(uinv[i][j] for i in range(n)) for j in range(k))
     lift = tuple(tuple(uinv[i][k + j] for j in range(q)) for i in range(n))
     return QuotientMap(proj, q, kernel_basis, lift)
@@ -202,5 +205,5 @@ def invariant_factors(gens: Sequence[Sequence[int]], ambient_rank: int) -> tuple
     """Nontrivial invariant factors of Z^rank / <gens> for full-rank gens."""
     if rank(gens) < ambient_rank:
         raise NotFullRank("generators do not span rationally")
-    diag, _, _ = smith_normal_form(list(gens))
+    diag = smith_normal_form(list(gens))[0]
     return tuple(d for d in diag if d not in (0, 1))

@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from toricapprox.invariant import check
 
 Vec = tuple
 Mat = tuple
@@ -91,13 +90,6 @@ def det_adjugate(m: Sequence):
     if len(pivots) < n:
         return 0, None
     return sign * p, tuple(tuple(sign * x for x in row[n:]) for row in a)
-
-
-def unimodular_inverse(u: Sequence) -> tuple:
-    """Exact integer inverse of a matrix with determinant +-1 (rows)."""
-    d, adj = det_adjugate(u)
-    check(d in (1, -1), "matrix is not unimodular")
-    return tuple(tuple(d * x for x in row) for row in adj)
 
 
 def solve_general(a: Sequence, b: Sequence):

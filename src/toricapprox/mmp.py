@@ -87,10 +87,6 @@ class ExtremalRay:
         return self.k_degree < 0
 
 
-def _normalized_class(rel: tuple) -> tuple:
-    return primitive_part(rel)
-
-
 def mori_extremal_rays(fan: Fan) -> tuple:
     """Extreme rays of the cone spanned by all wall curve classes.
 
@@ -102,7 +98,7 @@ def mori_extremal_rays(fan: Fan) -> tuple:
     k = canonical_divisor(fan)
     by_class = {}
     for c in curves:
-        by_class.setdefault(_normalized_class(c.relation), c)
+        by_class.setdefault(primitive_part(c.relation), c)
     classes = list(by_class)
     out = []
     for cls in classes:
@@ -127,8 +123,8 @@ def classify_contraction(fan: Fan, ray: ExtremalRay):
     if not ray.is_k_negative:
         raise NotExtremal("contraction classification needs a K-negative ray")
     rays = mori_extremal_rays(fan)
-    if _normalized_class(ray.curve.relation) not in {
-        _normalized_class(r.curve.relation) for r in rays
+    if primitive_part(ray.curve.relation) not in {
+        primitive_part(r.curve.relation) for r in rays
     }:
         raise NotExtremal(f"{ray.curve.relation} is not an extremal class")
     exc = tuple(sorted(ray.j_minus))
@@ -158,9 +154,9 @@ class ContractionResult:
 
 def _contract_divisorial(fan: Fan, ray: ExtremalRay) -> ContractionResult:
     e = ray.j_minus[0]
-    cls = _normalized_class(ray.curve.relation)
+    cls = primitive_part(ray.curve.relation)
     collapsed_walls = [
-        c for c in wall_curves(fan) if _normalized_class(c.relation) == cls
+        c for c in wall_curves(fan) if primitive_part(c.relation) == cls
     ]
     # Union-find over maximal cones across walls whose curve is contracted.
     parent = {c: c for c in fan.max_cones}

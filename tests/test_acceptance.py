@@ -267,7 +267,7 @@ def test_criterion_7_oracle_equivalences():
         mult_and_tangent_at_one,
     )
     from toricapprox.lattice import smith_normal_form
-    from toricapprox.linalg import det, mat_mul
+    from toricapprox.linalg import det, identity, mat_mul
 
     t0 = time.monotonic()
     # (a) Monomial counts against the generating function prod 1/(1-t^q).
@@ -329,8 +329,9 @@ def test_criterion_7_oracle_equivalences():
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         m = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        diag, u, v = smith_normal_form(m)
+        diag, u, v, u_inv = smith_normal_form(m)
         prod = mat_mul(mat_mul(u, m), v)
+        assert mat_mul(u, u_inv) == identity(rows)
         for i in range(rows):
             for j in range(cols):
                 expected = diag[i] if i == j and i < len(diag) else 0

@@ -278,3 +278,20 @@ def test_make_certificate_checks_survive_python_O(tmp_path):
     assert out[1] == "sum: -K·C must equal the sum of ray degrees"
     assert out[2] == "exit 1"
     assert out[3] == "bound: -K·C = 3 exceeds the claimed bound 0"
+
+
+def test_no_bare_assert_in_the_library():
+    # python -O strips assert; every library invariant uses invariant.check.
+    import ast
+    import pathlib
+
+    import toricapprox
+
+    src = pathlib.Path(toricapprox.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -19,9 +19,10 @@ from toricapprox.linalg import det, identity, mat_mul, mat_vec
 
 
 def _check_snf(m):
-    diag, u, v = smith_normal_form(m)
+    diag, u, v, u_inv = smith_normal_form(m)
     prod = mat_mul(mat_mul(u, m), v)
     rows, cols = len(m), len(m[0])
+    assert mat_mul(u, u_inv) == identity(rows)
     for i in range(rows):
         for j in range(cols):
             expected = diag[i] if i == j and i < len(diag) else 0
@@ -37,17 +38,17 @@ def _check_snf(m):
 
 
 def test_snf_golden_2x2():
-    diag, _, _ = smith_normal_form([[2, 4], [6, 8]])
+    diag = smith_normal_form([[2, 4], [6, 8]])[0]
     assert diag == (2, 4)
 
 
 def test_snf_golden_rectangular():
-    diag, _, _ = smith_normal_form([[1, 2, 3], [4, 5, 6]])
+    diag = smith_normal_form([[1, 2, 3], [4, 5, 6]])[0]
     assert diag == (1, 3)
 
 
 def test_snf_zero_matrix():
-    diag, _, _ = smith_normal_form([[0, 0], [0, 0]])
+    diag = smith_normal_form([[0, 0], [0, 0]])[0]
     assert diag == (0, 0)
 
 

@@ -37,8 +37,9 @@ def int_matrix(draw):
 @settings(max_examples=80, deadline=None)
 @given(int_matrix())
 def test_snf_diagonalizes_with_unimodular_factors(m):
-    diag, u, v = smith_normal_form(m)
+    diag, u, v, u_inv = smith_normal_form(m)
     prod = mat_mul(mat_mul(u, m), v)
+    assert mat_mul(u, u_inv) == identity(len(m))
     for i in range(len(m)):
         for j in range(len(m[0])):
             expected = diag[i] if i == j and i < len(diag) else 0

@@ -327,6 +327,21 @@ def test_cli_casestudy_search_non_positive_weights_exit_3(weights, capsys):
     assert "positive ints" in _input_error(capsys)
 
 
+def test_cli_casestudy_search_not_coprime_weights_exit_3(capsys):
+    # Used to exit 0 with candidates measured on P(2, 4, 6), which wps_fan
+    # refuses.
+    argv = ["casestudy", "search", "--weights", "2,4,6", "--cap", "4"]
+    assert main(argv) == EXIT_INPUT
+    assert "not coprime" in _input_error(capsys)
+
+
+def test_cli_casestudy_search_not_well_formed_weights_exit_3(capsys):
+    # Used to exit 0; the pair (2, 2) shares a factor.
+    argv = ["casestudy", "search", "--weights", "2,2,3", "--cap", "4"]
+    assert main(argv) == EXIT_INPUT
+    assert "not well-formed" in _input_error(capsys)
+
+
 def test_cli_casestudy_search_two_weights_exit_3(capsys):
     # Used to end in a DimensionError traceback.
     argv = ["casestudy", "search", "--weights", "1,1", "--cap", "5"]
