@@ -134,23 +134,6 @@ class ArithmeticContext:
                 return in_k, in_kv
         raise ApproxError(f"no declaration for the field Q(sqrt({d}))")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "ArithmeticContext":
-        quads = tuple(
-            (int(q["d"]), bool(q["in_k"]), bool(q["in_kv"]))
-            for q in doc.get("quadratics", ())
-        )
-        return ArithmeticContext(bool(doc.get("k_is_Q", True)), quads)
-
-    def to_dict(self) -> dict:
-        return {
-            "k_is_Q": self.k_is_q,
-            "quadratics": [
-                {"d": d, "in_k": in_k, "in_kv": in_kv}
-                for d, in_k, in_kv in self.quadratics
-            ],
-        }
-
 
 def alpha_rational_curve(d, branches: BranchData):
     """alpha of D restricted to a rational curve: min over branches of

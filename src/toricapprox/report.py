@@ -3,6 +3,10 @@
 Every serializer produces plain JSON-compatible dicts; rendering is
 byte-stable (sorted keys, fixed separators).  Rationals never appear as
 floats; parse(print(x)) is the identity on documents.
+
+The `*_from_doc` readers are the one place that checks input documents
+(fans, divisors, orbits, arithmetic contexts): an entry of the wrong JSON
+type is refused, never coerced.
 """
 
 from __future__ import annotations
@@ -10,13 +14,22 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from toricapprox.approx import INFINITY, ApproxResult, Lemma42Record
+from toricapprox.approx import (
+    INFINITY,
+    ApproxResult,
+    ArithmeticContext,
+    Lemma42Record,
+)
 from toricapprox.divisor import TorusDivisor
-from toricapprox.fan import Fan, build_fan
+from toricapprox.fan import Fan, FanError, build_fan
 from toricapprox.fwps import CurveCertificate
 from toricapprox.mmp import MmpChain
 
 SCHEMA_VERSION = 1
+
+
+class InputError(ValueError):
+    """A malformed input document or argument (command-line exit 3)."""
 
 
 def frac_to_str(x) -> str:
@@ -54,12 +67,52 @@ def fan_from_doc(doc: dict) -> Fan:
     return build_fan(rank, rays, cones)
 
 
-def divisor_from_doc(doc) -> TorusDivisor:
-    """Entries are ints or "p/q" strings; an inexact JSON float is refused."""
+def divisor_from_doc(doc, n_rays=None) -> TorusDivisor:
+    """Entries are ints or "p/q" strings; an inexact JSON float is refused.
+    Given `n_rays`, there must be one entry per ray."""
     for s in doc:
         if type(s) is not int and not isinstance(s, str):
             raise TypeError(f"divisor entry {s!r} is not an int or a string")
-    return TorusDivisor.of([Fraction(s) for s in doc])
+    d = TorusDivisor.of([Fraction(s) for s in doc])
+    if n_rays is not None and len(d.coeffs) != n_rays:
+        raise InputError(
+            f"divisor has {len(d.coeffs)} coefficients for {n_rays} rays"
+        )
+    return d
+
+
+def orbit_from_doc(text: str, fan: Fan) -> tuple:
+    """A JSON list of distinct ray indices that spans a cone of the fan."""
+    try:
+        orbit = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid orbit {text!r}: {exc}") from exc
+    if not isinstance(orbit, list) or any(type(i) is not int for i in orbit):
+        raise InputError(f"invalid orbit {text!r}: not a list of ray indices")
+    try:
+        return fan.require_cone(orbit)
+    except FanError as exc:
+        raise InputError(f"invalid orbit {text!r}: {exc}") from exc
+
+
+def context_from_doc(doc) -> ArithmeticContext:
+    """Each quadratic's `d` must be a JSON int, and `k_is_Q`, `in_k` and
+    `in_kv` JSON booleans; a float, a string or an int flag is refused
+    rather than coerced."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"a context is an object, not {type(doc).__name__}")
+    quads = doc.get("quadratics", [])
+    if not isinstance(quads, list):
+        raise TypeError(f"quadratics is a list, not {type(quads).__name__}")
+    quads = tuple((q["d"], q["in_k"], q["in_kv"]) for q in quads)
+    k_is_q = doc.get("k_is_Q", True)
+    for d, _, _ in quads:
+        if type(d) is not int:
+            raise TypeError(f"context entry d = {d!r} is not an int")
+    for flag in (k_is_q, *(f for q in quads for f in q[1:])):
+        if type(flag) is not bool:
+            raise TypeError(f"context flag {flag!r} is not a boolean")
+    return ArithmeticContext(k_is_q, quads)
 
 
 def divisor_to_doc(d: TorusDivisor):

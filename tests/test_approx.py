@@ -35,6 +35,7 @@ from toricapprox.mmp import (
     mori_extremal_rays,
     run_mmp_chain,
 )
+from toricapprox.report import context_from_doc
 
 
 def test_infinity_ordering():
@@ -57,13 +58,16 @@ def test_branch_data_validation():
 def test_arithmetic_context_consistency():
     with pytest.raises(ApproxError):
         ArithmeticContext(True, (((-3), True, False),))
-    ctx = ArithmeticContext.from_dict(
+    ctx = context_from_doc(
         {"k_is_Q": True, "quadratics": [{"d": -3, "in_k": False, "in_kv": True}]}
     )
     assert ctx.lookup(-3) == (False, True)
     with pytest.raises(ApproxError):
         ctx.lookup(5)
-    assert ArithmeticContext.from_dict(ctx.to_dict()) == ctx
+    assert ctx == ArithmeticContext(True, ((-3, False, True),))
+    assert context_from_doc({}) == ArithmeticContext()
+    with pytest.raises(ApproxError):
+        context_from_doc({"quadratics": [{"d": 5, "in_k": True, "in_kv": False}]})
 
 
 def test_alpha_rational_curve():

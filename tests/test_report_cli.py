@@ -103,6 +103,14 @@ def test_cli_unreadable_input_exit_3(tmp_path, capsys):
     assert main(["fan-check", "--fan", str(tmp_path / "missing.json")]) == EXIT_INPUT
 
 
+def test_cli_non_utf8_input_exit_3(tmp_path, capsys):
+    # Used to end in a UnicodeDecodeError traceback with exit 1.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["fan-check", "--fan", str(path)]) == EXIT_INPUT
+    assert "cannot read" in _input_error(capsys)
+
+
 def test_cli_fan_terminal(p2_files, tmp_path, capsys):
     fan, _ = p2_files
     assert main(["fan-terminal", "--fan", fan]) == EXIT_OK
@@ -347,3 +355,83 @@ def test_cli_casestudy_search_two_weights_exit_3(capsys):
     argv = ["casestudy", "search", "--weights", "1,1", "--cap", "5"]
     assert main(argv) == EXIT_INPUT
     assert "planes only" in _input_error(capsys)
+
+
+def test_cli_alpha_negative_degree_exit_3(p2_files, tmp_path, capsys):
+    # Used to end in an ApproxError traceback ("the degree must be
+    # non-negative") with exit 1.
+    fan, _ = p2_files
+    neg = _write(tmp_path, "neg.json", [-1, -1, -1])
+    assert main(["alpha", "--fan", fan, "--divisor", neg]) == EXIT_INPUT
+    assert "non-negative" in _input_error(capsys)
+
+
+P4713_CONTEXT = {"k_is_Q": True,
+                 "quadratics": [{"d": -3, "in_k": False, "in_kv": True}]}
+
+
+def _context_argvs(tmp_path, p2_files, doc):
+    fan, div = p2_files
+    ctx = _write(tmp_path, "ctx.json", doc)
+    return [
+        ["theorem-run", "--fan", fan, "--divisor", div, "--assume-cb",
+         "--context", ctx],
+        ["casestudy", "p4713", "--context", ctx],
+    ]
+
+
+@pytest.mark.parametrize("quadratic", [
+    {"d": -3.7, "in_k": False, "in_kv": True},
+    {"d": -3, "in_k": False, "in_kv": "no"},
+    {"d": -3, "in_k": 0, "in_kv": True},
+])
+def test_cli_context_entry_of_wrong_type_exit_3(quadratic, p2_files, tmp_path,
+                                                capsys):
+    # A float d used to be truncated and any flag passed through bool(), so
+    # each of these exited 0.
+    doc = dict(P4713_CONTEXT, quadratics=[quadratic])
+    for argv in _context_argvs(tmp_path, p2_files, doc):
+        assert main(argv) == EXIT_INPUT
+        assert "invalid context" in _input_error(capsys)
+
+
+def test_cli_context_not_an_object_exit_3(p2_files, tmp_path, capsys):
+    # Used to end in an AttributeError traceback.
+    for argv in _context_argvs(tmp_path, p2_files, []):
+        assert main(argv) == EXIT_INPUT
+        assert "a context is an object" in _input_error(capsys)
+
+
+def test_cli_valid_context_exit_0(p2_files, tmp_path, capsys):
+    for argv in _context_argvs(tmp_path, p2_files, P4713_CONTEXT):
+        assert main(argv) == EXIT_OK
+        json.loads(capsys.readouterr().out)
+
+
+def test_cli_closed_stdout_exit_0(p2_files):
+    # The read end of stdout is closed before the child writes; the write
+    # used to end in a BrokenPipeError traceback and exit 1.
+    import os
+    import subprocess
+    import sys
+
+    import toricapprox
+
+    fan, _ = p2_files
+    src = os.path.dirname(os.path.dirname(toricapprox.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argvs = [["fan-check", "--fan", fan],
+             ["casestudy", "search", "--weights", "1,2,3", "--cap", "2"]]
+    for argv in argvs:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "toricapprox.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
