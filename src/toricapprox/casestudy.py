@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import isqrt, lcm, prod
 from typing import Optional, Sequence
-
-import sympy
 
 from toricapprox.approx import (
     INFINITY,
@@ -82,15 +80,6 @@ class WeightedForm:
     def value_at_one(self) -> Fraction:
         return sum(c for _, c in self.monomials)
 
-    def to_sympy(self, symbols):
-        return sympy.Add(
-            *(
-                sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
-                for e, c in self.monomials
-            )
-        )
-
 
 @dataclass(frozen=True)
 class TangentReport:
@@ -135,14 +124,88 @@ def monomial_basis(q: Sequence[int], d: int) -> tuple:
     return tuple(out)
 
 
+def _factor(n: int) -> dict:
+    """Prime factorization {p: k} of |n| >= 1 by trial division up to 10^6.
+
+    A cofactor left above 10^12 could be composite, so it is refused
+    rather than searched to its square root.
+    """
+    out, rest, d = {}, abs(n), 2
+    while d * d <= rest and d <= 10**6:
+        while rest % d == 0:
+            out[d] = out.get(d, 0) + 1
+            rest //= d
+        d += 1 if d == 2 else 2
+    if rest > 10**12:
+        raise CaseStudyError(f"cannot factor {n}: a cofactor above 10^12 is left")
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
+    return out
+
+
 def _squarefree_part(n: int) -> int:
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    for p, k in sympy.factorint(n).items():
-        if k % 2:
-            out *= p
-    return sign * out
+    out = prod(p for p, k in _factor(n).items() if k % 2)
+    return -out if n < 0 else out
+
+
+def _divisors(n: int) -> list:
+    out = [1]
+    for p, k in _factor(n).items():
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return out
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """Product of two polynomials {exponent tuple: coefficient}."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def _strip(p: list) -> list:
+    """A univariate polynomial (coefficients, leading first) without its
+    leading zeros; [] is the zero polynomial."""
+    i = 0
+    while i < len(p) and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _is_squarefree(p: list) -> bool:
+    """gcd(p, p') is constant, by Euclid's algorithm over Q."""
+    a = p
+    b = _strip([c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])])
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            k = r[0] / b[0]
+            r = _strip([x - k * y for x, y in zip(r, b + [0] * len(r))])
+        a, b = b, r
+    return len(a) == 1
+
+
+def _rational_roots(p: list) -> int:
+    """Number of distinct rational roots of p, with p(0) != 0: the
+    candidates are ±r/s, r dividing p(0) and s the leading coefficient
+    once denominators are cleared."""
+    den = lcm(*(c.denominator for c in p))
+    a = [int(c * den) for c in p]
+    roots = {
+        Fraction(sign * r, s)
+        for r in _divisors(a[-1])
+        for s in _divisors(a[0])
+        for sign in (1, -1)
+    }
+    count = 0
+    for x in roots:
+        v = 0
+        for c in a:
+            v = v * x + c
+        count += v == 0
+    return count
 
 
 def mult_and_tangent_at_one(f: WeightedForm) -> TangentReport:
@@ -152,55 +215,43 @@ def mult_and_tangent_at_one(f: WeightedForm) -> TangentReport:
     slice transverse to the Euler direction (q_0,...,q_n) — the cone's
     one-parameter-orbit direction, tangent to the hypersurface — by
     eliminating the first shifted variable.  The lowest-degree form of the
-    restriction is the tangent cone of the curve germ.
+    restriction is the tangent cone of the curve germ.  Exact arithmetic
+    on polynomials {exponents of (u_1,...,u_n): Fraction}.
     """
     if f.value_at_one() != 0:
         raise NonVanishing("the form does not vanish at [1:...:1]")
-    n = len(f.weights)
-    us = sympy.symbols(f"u0:{n}")
-    xs = [1 + u for u in us]
-    shifted = sympy.expand(
-        sympy.Add(
-            *(
-                sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*(x**k for x, k in zip(xs, e)))
-                for e, c in f.monomials
-            )
-        )
-    )
-    # Eliminate u0 along the Euler direction: u0 = -(q_1 u_1 + ...)/q_0.
-    sub = -sympy.Add(
-        *(sympy.Rational(f.weights[i], f.weights[0]) * us[i] for i in range(1, n))
-    )
-    g = sympy.expand(shifted.subs(us[0], sub))
-    gp = sympy.Poly(g, *us[1:])
-    if gp.is_zero:
+    q = f.weights
+    n = len(q)
+    one = (0,) * (n - 1)
+    unit = [tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1)]
+    # x_0 = 1 + u_0 with u_0 = -(q_1 u_1 + ...)/q_0; x_i = 1 + u_i.
+    xs = [{one: Fraction(1)} | {u: Fraction(-w, q[0]) for u, w in zip(unit, q[1:])}]
+    xs += [{one: Fraction(1), u: Fraction(1)} for u in unit]
+    powers = [[{one: Fraction(1)}] for _ in range(n)]
+    g = {}
+    for e, c in f.monomials:
+        term = {one: c}
+        for i, k in enumerate(e):
+            while len(powers[i]) <= k:
+                powers[i].append(_mul(powers[i][-1], xs[i]))
+            term = _mul(term, powers[i][k])
+        for mono, a in term.items():
+            g[mono] = g.get(mono, 0) + a
+    g = {mono: a for mono, a in g.items() if a}
+    if not g:
         raise UnsupportedBranchType(
             "the form vanishes identically on the transverse slice"
         )
-    m = min(sum(mon) for mon in gp.monoms())
-    lowest = sympy.Add(
-        *(
-            coef * sympy.Mul(*(s**k for s, k in zip(us[1:], mon)))
-            for mon, coef in zip(gp.monoms(), gp.coeffs())
-            if sum(mon) == m
-        )
-    )
+    m = min(sum(mono) for mono in g)
     if n != 3:
         return TangentReport(m, (), None, m == 1, True)
-    s, t = us[1], us[2]
-    low = sympy.Poly(lowest, s, t)
-    coeffs = tuple(
-        Fraction(int(sympy.numer(low.coeff_monomial(s ** (m - i) * t**i))),
-                 int(sympy.denom(low.coeff_monomial(s ** (m - i) * t**i))))
-        for i in range(m + 1)
-    )
+    coeffs = tuple(Fraction(g.get((m - i, i), 0)) for i in range(m + 1))
     if m == 1:
         return TangentReport(1, coeffs, None, True, True)
-    grad_gcd = sympy.gcd(sympy.gcd(lowest, sympy.diff(lowest, s)),
-                         sympy.diff(lowest, t))
-    distinct = sympy.total_degree(grad_gcd) == 0
-    if not distinct:
+    # The binary form is squarefree when t^2 does not divide it and its
+    # dehomogenization p(s) = F(s, 1) is squarefree.
+    p = _strip(list(coeffs))
+    if coeffs[0] == coeffs[1] == 0 or not _is_squarefree(p):
         raise UnsupportedBranchType(
             "repeated tangent directions: not an ordinary multiple point"
         )
@@ -208,15 +259,14 @@ def mult_and_tangent_at_one(f: WeightedForm) -> TangentReport:
         a, b, c = coeffs
         disc = b * b - 4 * a * c
         num = disc.numerator * disc.denominator  # same squarefree part
-        root = sympy.sqrt(num)
-        if root.is_integer:
+        if num >= 0 and isqrt(num) ** 2 == num:
             return TangentReport(2, coeffs, None, True, True)
         return TangentReport(2, coeffs, _squarefree_part(num), False, True)
-    # m >= 3 with distinct tangents: rationality decided by rational roots.
-    poly1 = sympy.Poly(lowest.subs(t, 1), s)
-    nroots = len(poly1.ground_roots())
-    all_rational = nroots + (1 if coeffs[0] == 0 else 0) == m
-    return TangentReport(m, coeffs, None, all_rational, True)
+    # m >= 3 with distinct tangents: the tangent t = 0 when t divides the
+    # form, and s = r t for each rational root r of p (r = 0 when s does).
+    at_zero = p[-1] == 0
+    nroots = (coeffs[0] == 0) + at_zero + _rational_roots(p[:-1] if at_zero else p)
+    return TangentReport(m, coeffs, None, nroots == m, True)
 
 
 def sections_vanishing_to_order(q: Sequence[int], d: int, s: int) -> tuple:
@@ -322,8 +372,16 @@ class Candidate:
 
 
 def _is_irreducible(f: WeightedForm) -> bool:
+    import sympy  # only the search factors polynomials
+
     xs = sympy.symbols("x y z")[: len(f.weights)]
-    poly = f.to_sympy(xs)
+    poly = sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**k for s, k in zip(xs, e)))
+            for e, c in f.monomials
+        )
+    )
     _, factors = sympy.factor_list(poly)
     nontrivial = [p for p, k in factors for _ in range(k)]
     return len(nontrivial) == 1 and not any(

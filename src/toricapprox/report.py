@@ -68,8 +68,10 @@ def fan_from_doc(doc: dict) -> Fan:
 
 
 def divisor_from_doc(doc, n_rays=None) -> TorusDivisor:
-    """Entries are ints or "p/q" strings; an inexact JSON float is refused.
-    Given `n_rays`, there must be one entry per ray."""
+    """A JSON list of ints or "p/q" strings; an inexact JSON float is
+    refused.  Given `n_rays`, there must be one entry per ray."""
+    if not isinstance(doc, list):
+        raise TypeError(f"a divisor is a list, not {type(doc).__name__}")
     for s in doc:
         if type(s) is not int and not isinstance(s, str):
             raise TypeError(f"divisor entry {s!r} is not an int or a string")

@@ -1,9 +1,16 @@
 """Weighted-plane coordinate computations and the (4,7,13) report."""
 
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import casestudy_oracle
+from toricapprox import casestudy
 from toricapprox.approx import INFINITY, ArithmeticContext
 from toricapprox.casestudy import (
     CPRIME,
@@ -11,6 +18,7 @@ from toricapprox.casestudy import (
     CaseStudyError,
     DimensionError,
     NonVanishing,
+    TangentReport,
     UnsupportedBranchType,
     WeightedForm,
     blowup_selfintersection,
@@ -176,3 +184,175 @@ def test_casestudy_report_other_contexts():
     assert "withheld" in rep_k.verdict
     rep_inert = casestudy_p4713(CTX_INERT)
     assert rep_inert.cprime_alpha is INFINITY
+
+
+def _factor_inputs():
+    """Seeded integers up to 10^12: uniform ones, smooth ones, squares of
+    primes near 10^6 and the largest prime below 10^12."""
+    rng = random.Random(14)
+    out = [1, 2, 3 * 3 * 7, 999983**2, 999999999989, 2 * 999999999989]
+    out += [rng.randrange(1, 10**12) for _ in range(40)]
+    for _ in range(20):
+        n = 1
+        while n * 97 < 10**12 and rng.random() < 0.8:
+            n *= rng.choice((2, 3, 5, 7, 11, 13, 97, 997, 65537))
+        out.append(n)
+    return out
+
+
+def test_factor_matches_sympy():
+    import sympy
+
+    for n in _factor_inputs():
+        assert casestudy._factor(n) == sympy.factorint(n), n
+        for m in (n, -n):
+            expected = casestudy_oracle._squarefree_part(m)
+            assert casestudy._squarefree_part(m) == expected, m
+
+
+def test_factor_refuses_an_unsearched_cofactor():
+    # Both primes are above 10^6, so trial division leaves their product.
+    n = 1000003 * 1000033
+    with pytest.raises(CaseStudyError, match=str(n)):
+        casestudy._factor(n)
+
+
+def _criterion7_forms(count):
+    """The first `count` forms of criterion 7's seeded random stream."""
+    rng = random.Random(7)
+    pool = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (4, 7, 13))
+    out = []
+    while len(out) < count:
+        q = pool[rng.randrange(len(pool))]
+        d = rng.randrange(3, 9) * q[0]
+        basis = monomial_basis(q, d)
+        if len(basis) < 2:
+            continue
+        coeffs = [rng.randrange(-3, 4) for _ in basis[:-1]]
+        entries = [(e, c) for e, c in zip(basis, coeffs + [-sum(coeffs)]) if c]
+        if len(entries) >= 2:
+            out.append(WeightedForm.of(q, entries))
+    return out
+
+
+def _kernel_forms(q, d, order, count):
+    """Seeded integer combinations of the order-`order` jet kernel."""
+    rng = random.Random(d)
+    basis = monomial_basis(q, d)
+    kernel = sections_vanishing_to_order(q, d, order)
+    out = []
+    for _ in range(count):
+        coeffs = [rng.randrange(-2, 3) for _ in kernel]
+        vec = [sum(c * v[i] for c, v in zip(coeffs, kernel)) for i in range(len(basis))]
+        if any(vec):
+            out.append(WeightedForm.of(q, list(zip(basis, vec))))
+    return out
+
+
+def _binomials(q, degrees):
+    out = []
+    for d in degrees:
+        basis = monomial_basis(q, d)
+        out += [WeightedForm.of(q, [(basis[0], 1), (b, -1)]) for b in basis[1:3]]
+    return out
+
+
+def _tangent_cones():
+    """Plane curves whose tangent cone at [1:1:1] is a given binary form:
+    rational, partly rational, irrational and repeated tangents.  On the
+    slice (s, t) = (u_1, u_2), x - 2y + z restricts to -3s and x + y - 2z
+    to -3t."""
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    u, v, ls, lt = x - z, y - z, x - 2 * y + z, x + y - 2 * z
+    cones = (u * v * (u - v), u * (u - v) * (u + 2 * v) * (u - 3 * v),
+             ls * lt * (x - y), ls * (u**2 - 2 * v**2), u**3 - 2 * v**3,
+             u**3 + v**3, v**3 * z + u**4, lt**2 * (x - y))
+    return [
+        WeightedForm.of((1, 1, 1), {e: int(c) for e, c in
+                                    sympy.Poly(cone, x, y, z).terms()})
+        for cone in cones
+    ]
+
+
+def _differential_forms():
+    basis56 = monomial_basis((4, 7, 13), 56)
+    order3 = sections_vanishing_to_order((4, 7, 13), 56, 3)[0]
+    return (
+        [CPRIME, X5_EQ_YZ, WeightedForm.of((4, 7, 13), list(zip(basis56, order3)))]
+        + _criterion7_forms(10)
+        + _kernel_forms((1, 1, 1), 3, 2, 4)
+        + _kernel_forms((1, 1, 1), 4, 3, 3)
+        + _kernel_forms((1, 2, 3), 6, 2, 3)
+        + _kernel_forms((4, 7, 13), 39, 2, 3)
+        + _kernel_forms((4, 7, 13), 65, 3, 2)
+        + _kernel_forms((1, 1, 1, 1), 3, 2, 2)
+        + _kernel_forms((1, 1, 2, 3), 6, 2, 2)
+        + _binomials((1, 1, 1), (2, 3))
+        + _binomials((1, 2, 3), (6,))
+        + _binomials((4, 7, 13), (26, 39))
+        + _binomials((1, 1, 2, 3), (6,))
+        + _tangent_cones()
+        + [WeightedForm.of((1, 1, 1), {(1, 0, 0): 1, (0, 1, 0): -2}),
+           WeightedForm.of((1, 1, 1), {(2, 0, 0): 1, (1, 1, 0): -2, (0, 2, 0): 1})]
+    )
+
+
+def _outcome(fn, form):
+    try:
+        return fn(form)
+    except CaseStudyError as exc:
+        return type(exc), str(exc)
+
+
+def test_tangent_data_matches_the_sympy_oracle():
+    kinds = set()
+    for form in _differential_forms():
+        got = _outcome(mult_and_tangent_at_one, form)
+        assert got == _outcome(casestudy_oracle.mult_and_tangent_at_one, form), form
+        if isinstance(got, TangentReport):
+            kinds.add((min(got.multiplicity, 3), got.rational_tangents))
+        else:
+            kinds.add(got[0])
+    assert kinds == {(1, True), (2, True), (2, False), (3, True), (3, False),
+                     NonVanishing, UnsupportedBranchType}
+
+
+def _run_python(code):
+    """Run `code` in a fresh interpreter, where sympy is not yet imported."""
+    src = os.path.dirname(os.path.dirname(casestudy.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_import_leaves_sympy_unloaded():
+    proc = _run_python(
+        "import sys, toricapprox.casestudy; print('sympy' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_casestudy_p4713_runs_with_sympy_blocked(tmp_path, capsys):
+    from toricapprox.cli import main
+
+    paths, expected = [], ""
+    for in_k, in_kv in ((False, True), (True, True), (False, False)):
+        path = str(tmp_path / f"ctx_{in_k}_{in_kv}.json")
+        quadratic = {"d": -3, "in_k": in_k, "in_kv": in_kv}
+        with open(path, "w") as fh:
+            json.dump({"k_is_Q": True, "quadratics": [quadratic]}, fh)
+        paths.append(path)
+        assert main(["casestudy", "p4713", "--context", path]) == 0
+        expected += capsys.readouterr().out
+    # With sys.modules["sympy"] = None, any import of sympy raises.
+    proc = _run_python(
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from toricapprox.cli import main\n"
+        f"codes = [main(['casestudy', 'p4713', '--context', p]) for p in {paths!r}]\n"
+        "sys.exit(max(codes))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -280,6 +280,30 @@ def test_cli_divisor_float_entry_exit_3(p2_files, tmp_path, capsys):
     assert main(["divisor-nef", "--fan", fan, "--divisor", good]) == EXIT_OK
 
 
+def _assert_divisor_refused(p2_files, tmp_path, capsys, doc):
+    fan, _ = p2_files
+    bad = _write(tmp_path, "not_a_list.json", doc)
+    for verb in ("divisor-nef", "alpha"):
+        assert main([verb, "--fan", fan, "--divisor", bad]) == EXIT_INPUT
+        assert "a divisor is a list" in _input_error(capsys)
+
+
+def test_cli_divisor_string_doc_exit_3(p2_files, tmp_path, capsys):
+    # Was read character by character as D = (1, 0, 0), with exit 0.
+    _assert_divisor_refused(p2_files, tmp_path, capsys, "100")
+
+
+def test_cli_divisor_object_doc_exit_3(p2_files, tmp_path, capsys):
+    # Was read key by key as D = (1, 0, 2), with exit 0.
+    _assert_divisor_refused(p2_files, tmp_path, capsys,
+                            {"1": "x", "0": 0, "2": []})
+
+
+def test_cli_divisor_number_doc_exit_3(p2_files, tmp_path, capsys):
+    # Was refused only by the iteration's "'int' object is not iterable".
+    _assert_divisor_refused(p2_files, tmp_path, capsys, 100)
+
+
 def test_cli_theorem_run_non_terminal_input(tmp_path, capsys):
     # P(8,9,11,12) used to end on the driver's comparison assertion, exit 1.
     fan = _write(tmp_path, "fan.json", {
