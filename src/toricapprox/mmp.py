@@ -87,6 +87,22 @@ class ExtremalRay:
         return self.k_degree < 0
 
 
+def _wall_classes(fan: Fan) -> dict:
+    """Primitive class -> first wall curve of that class, in wall order."""
+    by_class = {}
+    for c in wall_curves(fan):
+        by_class.setdefault(primitive_part(c.relation), c)
+    return by_class
+
+
+def _is_extremal(classes, cls) -> bool:
+    """cls is a wall class and no non-negative combination of the others."""
+    if cls not in classes:
+        return False
+    others = [c for c in classes if c != cls]
+    return not others or nonneg_combination(others, cls) is None
+
+
 def mori_extremal_rays(fan: Fan) -> tuple:
     """Extreme rays of the cone spanned by all wall curve classes.
 
@@ -94,22 +110,13 @@ def mori_extremal_rays(fan: Fan) -> tuple:
     extremal iff it is not a non-negative combination of the other classes
     (exact rational feasibility test).
     """
-    curves = wall_curves(fan)
+    by_class = _wall_classes(fan)
     k = canonical_divisor(fan)
-    by_class = {}
-    for c in curves:
-        by_class.setdefault(primitive_part(c.relation), c)
-    classes = list(by_class)
-    out = []
-    for cls in classes:
-        others = [c for c in classes if c != cls]
-        if others and nonneg_combination(others, cls) is not None:
-            continue
-        c = by_class[cls]
-        out.append(
-            ExtremalRay(c, c.negative_rays, intersect(fan, k, c))
-        )
-    return tuple(out)
+    return tuple(
+        ExtremalRay(c, c.negative_rays, intersect(fan, k, c))
+        for cls, c in by_class.items()
+        if _is_extremal(by_class, cls)
+    )
 
 
 def classify_contraction(fan: Fan, ray: ExtremalRay):
@@ -122,10 +129,7 @@ def classify_contraction(fan: Fan, ray: ExtremalRay):
     """
     if not ray.is_k_negative:
         raise NotExtremal("contraction classification needs a K-negative ray")
-    rays = mori_extremal_rays(fan)
-    if primitive_part(ray.curve.relation) not in {
-        primitive_part(r.curve.relation) for r in rays
-    }:
+    if not _is_extremal(_wall_classes(fan), primitive_part(ray.curve.relation)):
         raise NotExtremal(f"{ray.curve.relation} is not an extremal class")
     exc = tuple(sorted(ray.j_minus))
     if len(exc) == 0:

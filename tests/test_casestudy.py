@@ -161,6 +161,20 @@ def test_search_p4713_cap20():
     assert best.multiplicity == 1
 
 
+def test_is_irreducible_on_coordinates_products_and_a_binomial():
+    def irreducible(q, entries):
+        return casestudy._is_irreducible(WeightedForm.of(q, entries))
+
+    # A coordinate variable, with any weight or coefficient, is not a curve
+    # that the search wants; a product of variables is reducible.
+    assert not irreducible((1, 1, 1), {(1, 0, 0): 1})
+    assert not irreducible((4, 7, 13), {(0, 0, 1): -3})
+    assert not irreducible((1, 1, 1), {(1, 1, 0): 1})
+    assert not irreducible((1, 2, 3), {(1, 1, 0): 2})
+    assert irreducible((1, 1, 1), {(2, 0, 0): 1, (0, 1, 1): -1})
+    assert irreducible((4, 7, 13), {(5, 0, 0): 1, (0, 1, 1): -1})
+
+
 def test_casestudy_report_split_locally():
     rep = casestudy_p4713(CTX_SPLIT_LOCALLY)
     assert rep.driver_degree == 28

@@ -1,10 +1,15 @@
 """Extremal rays, contractions, flips, the a-value step, and chains."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import mmp_oracle
+import toricapprox.mmp as mmp
+from conftest import random_fan_suite
 from toricapprox.divisor import (
     TorusDivisor,
     canonical_divisor,
@@ -12,6 +17,7 @@ from toricapprox.divisor import (
     is_nef,
     ray_divisor,
     support_function,
+    wall_curves,
 )
 from toricapprox.fan import is_projective_space
 from toricapprox.fwps import fiber_fwps
@@ -19,6 +25,7 @@ from toricapprox.mmp import (
     DIVISORIAL,
     FLIP,
     MORI_FIBER,
+    ExtremalRay,
     FlipRequired,
     NoKNegativeRay,
     NotExtremal,
@@ -219,3 +226,66 @@ def test_picard_rank(p2, f1, francia):
     assert picard_rank(p2) == 1
     assert picard_rank(f1) == 2
     assert picard_rank(francia) == 2
+
+
+def _wall_rays(fan):
+    """An ExtremalRay for every wall curve, built as mori_extremal_rays does,
+    and a K-negative one for the negative of the first class, which lies
+    outside the Mori cone and is no wall class."""
+    k = canonical_divisor(fan)
+    curves = wall_curves(fan)
+    neg = tuple(-b for b in curves[0].relation)
+    return [
+        ExtremalRay(c, c.negative_rays, intersect(fan, k, c)) for c in curves
+    ] + [ExtremalRay(
+        replace(curves[0], relation=neg),
+        tuple(i for i, b in enumerate(neg) if b < 0),
+        Fraction(-1),
+    )]
+
+
+def _classification(fan, ray, fn):
+    try:
+        return fn(fan, ray)
+    except NotExtremal as exc:
+        return type(exc), str(exc)
+
+
+def test_classification_matches_the_full_cone_oracle(p2, p3, wps4713, francia):
+    fans = [p2, p3, wps4713, francia] + [
+        fan for fan, _ in random_fan_suite(random.Random(3), 8)
+    ]
+    seen = Counter()
+    for fan in fans:
+        assert mori_extremal_rays(fan) == mmp_oracle.mori_extremal_rays(fan)
+        for ray in _wall_rays(fan):
+            got = _classification(fan, ray, classify_contraction)
+            want = _classification(fan, ray, mmp_oracle.classify_contraction)
+            assert got == want, (fan, ray)
+            if got[0] is NotExtremal:
+                seen[NotExtremal, ray.is_k_negative] += 1
+            else:
+                seen[got[0]] += 1
+    assert set(seen) == {MORI_FIBER, DIVISORIAL, FLIP,
+                         (NotExtremal, False), (NotExtremal, True)}, seen
+
+
+def test_classification_runs_one_lp(monkeypatch, p2, f1, francia):
+    def ray_of(fan, kind):
+        return next(
+            r for r in mori_extremal_rays(fan)
+            if r.is_k_negative and classify_contraction(fan, r)[0] == kind
+        )
+
+    cases = [(francia, ray_of(francia, FLIP), 1),
+             (f1, ray_of(f1, DIVISORIAL), 1),
+             (p2, ray_of(p2, MORI_FIBER), 0)]
+    calls = []
+    real = mmp.nonneg_combination
+    monkeypatch.setattr(
+        mmp, "nonneg_combination", lambda *args: calls.append(args) or real(*args)
+    )
+    for fan, ray, lps in cases:
+        calls.clear()
+        classify_contraction(fan, ray)
+        assert len(calls) == lps, fan
