@@ -24,7 +24,6 @@ from toricapprox.divisor import (
 )
 from toricapprox.fwps import (
     CurveCertificate,
-    IsProjectiveSpace,
     base_case_curve,
     make_certificate,
     wps_curve_all_leq1,
@@ -179,9 +178,8 @@ def lemma42_ledger(
     dd = one_ps_degree(cert.fan, d, cert.curve)
     k = canonical_divisor(cert.fan)
     shifted = one_ps_degree(cert.fan, d + a * k, cert.curve)
-    minus_k = one_ps_degree(cert.fan, -1 * k, cert.curve)
-    check(dd == shifted + a * minus_k, "exact degree bookkeeping")
-    return Lemma42Record(a, dd, shifted, minus_k, dim, minus_k <= dim)
+    check(dd == shifted + a * cert.minus_k, "exact degree bookkeeping")
+    return Lemma42Record(a, dd, shifted, cert.minus_k, dim, cert.minus_k <= dim)
 
 
 def transport_curve(step: MmpStepRecord, cert: CurveCertificate) -> CurveCertificate:
@@ -418,10 +416,7 @@ def theorem16_driver(
     if is_projective_space(term.fan):
         cert = wps_curve_all_leq1(term.fan, term.p_orbit)
     else:
-        try:
-            cert = base_case_curve(term.fan, term.ray, term.shifted, term.p_orbit)
-        except IsProjectiveSpace:
-            cert = wps_curve_all_leq1(term.fan, term.p_orbit)
+        cert = base_case_curve(term.fan, term.ray, term.shifted, term.p_orbit)
     ledger = [
         lemma42_ledger(cert, term.divisor, term.a, term.fan.rank)
     ]

@@ -493,9 +493,7 @@ class FiberData:
 
 def fiber_fwps(fan: Fan, ray: ExtremalRay) -> FiberData:
     """Extract the reduced general fiber of the contraction of `ray`."""
-    rel = ray.curve.relation
-    j_minus = [i for i, b in enumerate(rel) if b < 0]
-    j_plus = [i for i, b in enumerate(rel) if b > 0]
+    j_minus, j_plus = ray.j_minus, ray.j_plus
     quot = _quotient_by_span([fan.rays[i] for i in j_minus], fan.rank)
     imgs = [quot.apply(fan.rays[i]) for i in j_plus]
     inner = _quotient_by_span(imgs, quot.rank)
@@ -508,9 +506,7 @@ def fiber_fwps(fan: Fan, ray: ExtremalRay) -> FiberData:
     fiber = build_fan(
         fdim, fib_rays, list(combinations(range(len(j_plus)), fdim))
     )
-    return FiberData(
-        fiber, tuple(j_plus), tuple(j_minus), mat_mul(quot.lift, basis)
-    )
+    return FiberData(fiber, j_plus, j_minus, mat_mul(quot.lift, basis))
 
 
 def base_case_curve(
@@ -528,7 +524,7 @@ def base_case_curve(
             "the whole variety is projective space: take the line through P"
         )
     kind, exc = classify_contraction(fan, ray)
-    p_orbit = tuple(sorted(p_orbit))
+    p_orbit = fan.require_cone(p_orbit)
     if not orbit_in_exc(p_orbit, exc):
         raise FwpsError("P is not in the exceptional locus of this ray")
     check(intersect(fan, d, ray.curve) == 0, "D must kill the contracted ray")

@@ -75,7 +75,11 @@ FLIP = "Flip"
 class ExtremalRay:
     """An extreme ray of the Mori cone, represented by a wall curve.
 
-    j_minus: ray indices with negative relation coefficient; k_degree: K·C.
+    j_minus: ray indices with negative relation coefficient, which span the
+    exceptional cone; k_degree: K·C.  The circuit (j_minus, j_plus) of the
+    wall relation fixes the kind of the contraction: MoriFiber when no
+    coefficient is negative (the exceptional locus is all of X), Divisorial
+    when exactly one is, Flip otherwise.
     """
 
     curve: WallCurve
@@ -85,6 +89,17 @@ class ExtremalRay:
     @property
     def is_k_negative(self) -> bool:
         return self.k_degree < 0
+
+    @property
+    def j_plus(self) -> tuple:
+        """Ray indices with positive relation coefficient."""
+        return tuple(i for i, b in enumerate(self.curve.relation) if b > 0)
+
+    @property
+    def kind(self) -> str:
+        if not self.j_minus:
+            return MORI_FIBER
+        return DIVISORIAL if len(self.j_minus) == 1 else FLIP
 
 
 def _wall_classes(fan: Fan) -> dict:
@@ -120,23 +135,17 @@ def mori_extremal_rays(fan: Fan) -> tuple:
 
 
 def classify_contraction(fan: Fan, ray: ExtremalRay):
-    """(kind, exc_cone) of the elementary contraction of a K-negative ray.
+    """(kind, exc_cone) of the elementary contraction of a caller's ray.
 
-    MoriFiber when no relation coefficient is negative (the contraction
-    drops dimension and the exceptional locus is all of X, exc_cone = 0);
-    Divisorial when exactly one is; Flip otherwise.  exc_cone is spanned by
-    the rays with negative coefficient.
+    Checks that the ray is K-negative and, with one LP, that its class is
+    extremal in the Mori cone of fan; the kind and the exceptional cone are
+    then read off the ray's circuit (ExtremalRay.kind, j_minus).
     """
     if not ray.is_k_negative:
         raise NotExtremal("contraction classification needs a K-negative ray")
     if not _is_extremal(_wall_classes(fan), primitive_part(ray.curve.relation)):
         raise NotExtremal(f"{ray.curve.relation} is not an extremal class")
-    exc = tuple(sorted(ray.j_minus))
-    if len(exc) == 0:
-        return MORI_FIBER, exc
-    if len(exc) == 1:
-        return DIVISORIAL, exc
-    return FLIP, exc
+    return ray.kind, ray.j_minus
 
 
 @dataclass(frozen=True)
@@ -195,8 +204,7 @@ def _contract_divisorial(fan: Fan, ray: ExtremalRay) -> ContractionResult:
 
 
 def _contract_mori_fiber(fan: Fan, ray: ExtremalRay) -> ContractionResult:
-    j_plus = [i for i, b in enumerate(ray.curve.relation) if b > 0]
-    gens = [fan.rays[i] for i in j_plus]
+    gens = [fan.rays[i] for i in ray.j_plus]
     quot = _quotient_by_span(gens, fan.rank)
     ray_map = [None] * len(fan.rays)
     new_rays = []
@@ -300,12 +308,11 @@ def flip(fan: Fan, ray: ExtremalRay) -> FlipResult:
     Phi* F = Phi'* F' - (F·C0) D* on the common star subdivision X*, for
     every ray divisor F.
     """
-    kind, exc = classify_contraction(fan, ray)
+    kind, _ = classify_contraction(fan, ray)
     if kind != FLIP:
         raise NotFlip(f"contraction kind is {kind}")
     rel = ray.curve.relation
-    j_minus = list(exc)
-    j_plus = [i for i, b in enumerate(rel) if b > 0]
+    j_minus, j_plus = ray.j_minus, ray.j_plus
     wsum = tuple(
         sum(-rel[i] * fan.rays[i][r] for i in j_minus) for r in range(fan.rank)
     )
@@ -347,8 +354,8 @@ def flip(fan: Fan, ray: ExtremalRay) -> FlipResult:
         target=target,
         star=star_src,
         new_ray=wstar,
-        exc_cone=tuple(exc),
-        flipped_exc_cone=tuple(sorted(j_plus)),
+        exc_cone=j_minus,
+        flipped_exc_cone=j_plus,
         contracted_class=rel,
         dstar_multiple=Fraction(kappa, g),
     )
@@ -403,24 +410,30 @@ def step_a(fan: Fan, d: TorusDivisor):
 class MmpStepRecord:
     """One elementary MMP step.
 
-    kind in {MoriFiber, Divisorial, Flip}; a: the a-value; ray: the
-    contracted extremal ray; divisor: D on the source; shifted = D + aK;
-    result: ContractionResult or FlipResult (None when the step is terminal
-    because P lies in the exceptional locus and the chain stops here);
-    p_orbit: P's orbit cone on the source; p_in_exc: whether the chain
-    terminates at this step.
+    a: the a-value; ray: the contracted extremal ray, whose circuit gives
+    the step's kind in {MoriFiber, Divisorial, Flip} and its exc_cone;
+    divisor: D on the source; shifted = D + aK; result: ContractionResult or
+    FlipResult (None when the step is terminal because P lies in the
+    exceptional locus and the chain stops here); p_orbit: P's orbit cone on
+    the source; p_in_exc: whether the chain terminates at this step.
     """
 
-    kind: str
     a: Fraction
     ray: ExtremalRay
     fan: Fan
     divisor: TorusDivisor
     shifted: TorusDivisor
-    exc_cone: Cone
     p_orbit: Cone
     p_in_exc: bool
     result: object = None
+
+    @property
+    def kind(self) -> str:
+        return self.ray.kind
+
+    @property
+    def exc_cone(self) -> Cone:
+        return self.ray.j_minus
 
 
 @dataclass(frozen=True)
@@ -455,10 +468,12 @@ def run_mmp_chain(
 ) -> MmpChain:
     """Iterate a-value steps until P enters an exceptional locus.
 
-    Each step computes a = min D·C/(-K·C), classifies the chosen ray, and
-    either stops (P in exc) or performs the contraction/flip, pushing
-    D + aK forward and transporting P's orbit cone (the identity on ray
-    sets away from exc).
+    Each step computes a = min D·C/(-K·C) and either stops (P in exc) or
+    performs the contraction/flip, pushing D + aK forward and transporting
+    P's orbit cone (the identity on ray sets away from exc).  The chosen ray
+    is a K-negative member of mori_extremal_rays, so it is extremal by
+    construction: its kind is read off its circuit, and only contract/flip
+    classify it, as their entry check.
     """
     p_orbit = fan.require_cone(p_orbit)
     check(is_nef(fan, d), "the MMP runner needs a nef divisor")
@@ -467,39 +482,26 @@ def run_mmp_chain(
     cur_fan, cur_d, cur_p = fan, d, p_orbit
     for _ in range(budget):
         a, ray = step_a(cur_fan, cur_d)
-        kind, exc = classify_contraction(cur_fan, ray)
         shifted = cur_d + a * canonical_divisor(cur_fan)
-        if orbit_in_exc(cur_p, exc):
-            steps.append(
-                MmpStepRecord(
-                    kind, a, ray, cur_fan, cur_d, shifted, exc, cur_p, True
-                )
-            )
+        p_in_exc = orbit_in_exc(cur_p, ray.j_minus)
+        res = None
+        if not p_in_exc:
+            res = (flip if ray.kind == FLIP else contract)(cur_fan, ray)
+        steps.append(
+            MmpStepRecord(a, ray, cur_fan, cur_d, shifted, cur_p, p_in_exc, res)
+        )
+        if p_in_exc:
             return MmpChain(tuple(steps), canonically_bounded)
-        if kind == FLIP:
-            res = flip(cur_fan, ray)
-            new_p = cur_p
-            if not res.target.has_cone(new_p):
+        if ray.kind == FLIP:
+            if not res.target.has_cone(cur_p):
                 raise OrbitInExc(
                     f"orbit cone {cur_p} does not survive the flip"
                 )
-            steps.append(
-                MmpStepRecord(
-                    kind, a, ray, cur_fan, cur_d, shifted, exc, cur_p, False, res
-                )
-            )
-            cur_fan, cur_d, cur_p = res.target, shifted, new_p
+            cur_fan, cur_d = res.target, shifted
         else:
-            res = contract(cur_fan, ray)
-            new_p = tuple(sorted(res.ray_map[i] for i in cur_p))
-            steps.append(
-                MmpStepRecord(
-                    kind, a, ray, cur_fan, cur_d, shifted, exc, cur_p, False, res
-                )
-            )
             cur_fan = res.target
             cur_d = push_divisor(res, shifted)
-            cur_p = new_p
+            cur_p = tuple(sorted(res.ray_map[i] for i in cur_p))
     raise NonTermination(f"no terminal step within {budget} steps")
 
 

@@ -188,6 +188,20 @@ def test_base_case_curve_requires_p_in_exc(f1):
         base_case_curve(f1, ray, d, ())
 
 
+@pytest.mark.parametrize("orbit", [(1, 3), (1, 1), (1, 7)])
+def test_base_case_curve_requires_a_cone_of_the_fan(f1, orbit):
+    # Opposite rays, a repeated index and a ray that does not exist all
+    # contain the exceptional ray 1, but none of them is a cone of F1.
+    d = TorusDivisor.of([1, 1, 0, 0])
+    ray = next(
+        r
+        for r in mori_extremal_rays(f1)
+        if classify_contraction(f1, r)[0] == DIVISORIAL
+    )
+    with pytest.raises(ConeNotInFan):
+        base_case_curve(f1, ray, d, orbit)
+
+
 def test_base_case_curve_refuses_projective_space(p2):
     ray = mori_extremal_rays(p2)[0]
     with pytest.raises(IsProjectiveSpace):

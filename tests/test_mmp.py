@@ -217,6 +217,30 @@ def test_chain_francia(francia):
     assert chain.terminal_step.p_in_exc
 
 
+def test_chain_classifies_each_step_once(monkeypatch, francia):
+    # A chain step's ray comes from mori_extremal_rays, so the chain itself
+    # never classifies it: only contract/flip do, on every non-terminal step.
+    cases = random_fan_suite(random.Random(1), 30) + [
+        (francia, TorusDivisor.of([2, 4, 3, 3, 6]))
+    ]
+    calls = []
+    real = mmp.classify_contraction
+    monkeypatch.setattr(
+        mmp, "classify_contraction",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    kinds = Counter()
+    for fan, d in cases:
+        calls.clear()
+        chain = run_mmp_chain(fan, d, ())
+        assert len(calls) == len(chain.steps) - 1, fan
+        for s in chain.steps:
+            want = mmp_oracle.classify_contraction(s.fan, s.ray)
+            assert (s.kind, s.exc_cone) == want, (fan, s.ray)
+            kinds[s.kind] += 1
+    assert set(kinds) == {MORI_FIBER, DIVISORIAL, FLIP}, kinds
+
+
 def test_chain_requires_nef(f1):
     with pytest.raises(AssertionError):
         run_mmp_chain(f1, TorusDivisor.of([0, 1, 0, 0]), ())
