@@ -9,7 +9,7 @@ alpha value and assumption ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -35,7 +35,6 @@ from toricapprox.mmp import (
     FLIP,
     ContractionResult,
     FlipResult,
-    MmpChain,
     MmpStepRecord,
     OrbitInExc,
     run_mmp_chain,
@@ -85,8 +84,7 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(namedtuple("BranchData", "branches")):
     """Preimage points on the normalization of a rational curve at P.
 
     branches: tuples (m, r): m >= 1 the branch multiplicity, r in {0,1,2}
@@ -94,38 +92,47 @@ class BranchData:
     residue field does not embed in the completion).
     """
 
-    branches: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.branches:
+    def __new__(cls, branches):
+        if not branches:
             raise ApproxError("at least one branch is required")
-        for m, r in self.branches:
+        for m, r in branches:
             if m < 1 or r not in (0, 1, 2):
                 raise ApproxError(f"invalid branch (m={m}, r={r})")
+        return super().__new__(cls, branches)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @staticmethod
     def of(pairs: Sequence) -> "BranchData":
         return BranchData(tuple((int(m), int(r)) for m, r in pairs))
 
 
-@dataclass(frozen=True)
-class ArithmeticContext:
+class ArithmeticContext(namedtuple("ArithmeticContext", "k_is_q quadratics")):
     """Declared arithmetic of the ground field k and the chosen place.
 
-    k_is_q: whether k is the rational field; quadratics maps a squarefree
-    integer d to flags (sqrt(d) in k, sqrt(d) in the completion k_v).
-    Membership in k implies membership in k_v.
+    k_is_q: whether k is the rational field; quadratics: a tuple of
+    (d, in_k, in_kv), mapping a squarefree integer d to flags (sqrt(d) in
+    k, sqrt(d) in the completion k_v).  Membership in k implies membership
+    in k_v.
     """
 
-    k_is_q: bool = True
-    quadratics: tuple = ()  # tuple of (d, in_k, in_kv)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for d, in_k, in_kv in self.quadratics:
+    def __new__(cls, k_is_q=True, quadratics=()):
+        for d, in_k, in_kv in quadratics:
             if in_k and not in_kv:
                 raise ApproxError(
                     f"sqrt({d}) in k requires sqrt({d}) in k_v"
                 )
+        return super().__new__(cls, k_is_q, quadratics)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     def lookup(self, d: int):
         for dd, in_k, in_kv in self.quadratics:
@@ -150,8 +157,10 @@ def alpha_rational_curve(d, branches: BranchData):
     return best
 
 
-@dataclass(frozen=True)
-class Lemma42Record:
+class Lemma42Record(namedtuple(
+    "Lemma42Record",
+    "a d_degree shifted_degree minus_k_degree dim bound_holds",
+)):
     """One instance of the a-value comparison alpha(D) = alpha(D+aK) + a·(-K·C).
 
     The displayed chain bound needs (-K·C)/m <= dim; bound_holds records
@@ -160,12 +169,7 @@ class Lemma42Record:
     weighted projective space curve is only guaranteed -K·C <= dim + 1 (the
     driver records that input's non-terminal assumption)."""
 
-    a: Fraction
-    d_degree: Fraction
-    shifted_degree: Fraction
-    minus_k_degree: Fraction
-    dim: int
-    bound_holds: bool
+    __slots__ = ()
 
 
 def lemma42_ledger(
@@ -326,28 +330,23 @@ def pn_blowup_line(res: ContractionResult, p_orbit: Sequence = ()) -> CurveCerti
     return cert
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(namedtuple(
+    "ApproxResult",
+    "certificate degree alpha branches chain ledger assumptions "
+    "comparison best_approximation",
+    defaults=("not necessarily a curve of best approximation",),
+)):
     """Driver output: the curve, its alpha value, and the assumption ledger.
 
     alpha = degree/(r·m) with m = 1 and r = 1 for driver-produced curves
-    (unibranch through a rational point); comparison: the conditional
-    statement alpha_{P,C}(D) <= alpha of every Zariski-dense sequence,
-    valid under the canonical-boundedness assumption; the certificate is
-    not claimed to be a curve of best approximation.
+    (unibranch through a rational point); chain: the MmpChain, or None;
+    comparison: the conditional statement alpha_{P,C}(D) <= alpha of every
+    Zariski-dense sequence, valid under the canonical-boundedness
+    assumption; the certificate is not claimed to be a curve of best
+    approximation.
     """
 
-    certificate: CurveCertificate
-    degree: Fraction
-    alpha: object
-    branches: BranchData
-    chain: Optional[MmpChain]
-    ledger: tuple
-    assumptions: tuple
-    comparison: str
-    best_approximation: str = (
-        "not necessarily a curve of best approximation"
-    )
+    __slots__ = ()
 
 
 _COMPARISON = (

@@ -8,10 +8,10 @@ audited report for the plane with weights (4, 7, 13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, lcm, prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from toricapprox.approx import (
     INFINITY,
@@ -43,16 +43,14 @@ class DimensionError(CaseStudyError):
     pass
 
 
-@dataclass(frozen=True)
-class WeightedForm:
+class WeightedForm(namedtuple("WeightedForm", "weights degree monomials")):
     """A weighted-homogeneous form: exponent vectors with exact coefficients.
 
-    Every monomial e satisfies sum(q_i e_i) = degree; coefficients nonzero.
+    monomials: a tuple of (exponent tuple, Fraction).  Every monomial e
+    satisfies sum(q_i e_i) = degree; coefficients nonzero.
     """
 
-    weights: tuple
-    degree: int
-    monomials: tuple  # tuple of (exponent tuple, Fraction)
+    __slots__ = ()
 
     @staticmethod
     def of(weights: Sequence[int], entries) -> "WeightedForm":
@@ -81,8 +79,10 @@ class WeightedForm:
         return sum(c for _, c in self.monomials)
 
 
-@dataclass(frozen=True)
-class TangentReport:
+class TangentReport(namedtuple(
+    "TangentReport",
+    "multiplicity tangent_form splitting rational_tangents distinct",
+)):
     """Multiplicity and tangent data of a curve at [1:...:1].
 
     tangent_form: coefficients (degree m down to 0 in the first slice
@@ -93,11 +93,7 @@ class TangentReport:
     tangent form is squarefree.
     """
 
-    multiplicity: int
-    tangent_form: tuple
-    splitting: Optional[int]
-    rational_tangents: bool
-    distinct: bool
+    __slots__ = ()
 
 
 def monomial_basis(q: Sequence[int], d: int) -> tuple:
@@ -360,15 +356,14 @@ def _branches_for(report: TangentReport, context: ArithmeticContext):
     return None, "branch fields beyond declared quadratics"
 
 
-@dataclass(frozen=True)
-class Candidate:
-    form: WeightedForm
-    degree: int
-    multiplicity: int
-    splitting: Optional[int]
-    alpha: object  # Fraction, INFINITY, or None when undecidable
-    conditional: bool
-    note: str
+class Candidate(namedtuple(
+    "Candidate",
+    "form degree multiplicity splitting alpha conditional note",
+)):
+    """One ranked curve of `curve_alpha_search`; alpha is a Fraction,
+    INFINITY, or None when undecidable."""
+
+    __slots__ = ()
 
 
 def _is_irreducible(f: WeightedForm) -> bool:
@@ -465,28 +460,17 @@ def curve_alpha_search(
     return tuple(sorted(cands, key=key))
 
 
-@dataclass(frozen=True)
-class CaseStudyReport:
+class CaseStudyReport(namedtuple(
+    "CaseStudyReport",
+    "driver_degree driver_alpha x5_eq_yz_alpha cprime_degree "
+    "cprime_multiplicity cprime_splitting cprime_alpha "
+    "cprime_alpha_note h0_dimension order3_section order3_unique "
+    "order3_multiplicity blowup_square cdoubleprime_alpha_lower "
+    "lower_bound lower_bound_note verdict assumptions",
+)):
     """The audited chain of results on the plane with weights (4, 7, 13)."""
 
-    driver_degree: Fraction
-    driver_alpha: object
-    x5_eq_yz_alpha: Fraction
-    cprime_degree: int
-    cprime_multiplicity: int
-    cprime_splitting: int
-    cprime_alpha: object
-    cprime_alpha_note: str
-    h0_dimension: int
-    order3_section: tuple
-    order3_unique: bool
-    order3_multiplicity: int
-    blowup_square: Fraction
-    cdoubleprime_alpha_lower: Fraction
-    lower_bound: Fraction
-    lower_bound_note: str
-    verdict: str
-    assumptions: tuple
+    __slots__ = ()
 
 
 CPRIME = WeightedForm.of(

@@ -2,7 +2,8 @@
 
 Verbs: fan-check, fan-terminal, divisor-nef, mmp-run, curve-find, alpha,
 theorem-run, casestudy.  Exit codes: 0 success, 1 internal invariant
-failure, 2 required assumption flag absent, 3 malformed input.
+failure, 2 required assumption flag absent, 3 malformed input, 4 optional
+dependency absent (`casestudy search` needs sympy, the `search` extra).
 
 Each verb is one row of `VERBS`: its help, its argument specs and a
 handler that returns a result document, or a (document, exit code) pair.
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_ASSUMPTION = 2
 EXIT_INPUT = 3
+EXIT_DEPENDENCY = 4
 
 
 def _load(path: str, kind: str, parse, *args):
@@ -187,6 +189,17 @@ def _casestudy(args):
         cands = curve_alpha_search(weights, args.cap, context)
     except (CaseStudyError, FanError) as exc:
         raise InputError(f"invalid weights {args.weights!r}: {exc}") from exc
+    except ModuleNotFoundError as exc:
+        if exc.name != "sympy":
+            raise
+        return {
+            "error": "missing dependency",
+            "explanation": (
+                "casestudy search factors polynomials with sympy, which is "
+                "not installed; install the search extra: "
+                "pip install 'toricapprox[search]'"
+            ),
+        }, EXIT_DEPENDENCY
     return report.candidates_to_doc(cands)
 
 

@@ -7,7 +7,7 @@ numbers (by two independent routes), nef tests, and degrees of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -27,11 +27,10 @@ class ZeroWeight(DivisorError):
     pass
 
 
-@dataclass(frozen=True)
-class TorusDivisor:
+class TorusDivisor(namedtuple("TorusDivisor", "coeffs")):
     """D = sum d_i D_i with one exact rational coefficient per fan ray."""
 
-    coeffs: tuple
+    __slots__ = ()
 
     @staticmethod
     def of(values: Sequence) -> "TorusDivisor":
@@ -46,6 +45,8 @@ class TorusDivisor:
     def __rmul__(self, c) -> "TorusDivisor":
         c = Fraction(c)
         return TorusDivisor(tuple(c * a for a in self.coeffs))
+
+    __mul__ = __rmul__  # d * c scales too; as a tuple it would repeat d
 
     def __neg__(self) -> "TorusDivisor":
         return TorusDivisor(tuple(-a for a in self.coeffs))
@@ -74,8 +75,10 @@ def linear_equivalence(fan: Fan, d1: TorusDivisor, d2: TorusDivisor):
     return solve_general(rows, target)
 
 
-@dataclass(frozen=True)
-class SupportFunction:
+class SupportFunction(namedtuple(
+    "SupportFunction",
+    "fan divisor functionals cartier_index",
+)):
     """Per-maximal-cone rational linear functionals of a divisor.
 
     functionals[k] is u_sigma for fan.max_cones[k], characterized by
@@ -83,10 +86,7 @@ class SupportFunction:
     least positive integer clearing all denominators.
     """
 
-    fan: Fan
-    divisor: TorusDivisor
-    functionals: tuple
-    cartier_index: int
+    __slots__ = ()
 
     def functional(self, cone: Cone) -> tuple:
         return self.functionals[self.fan.max_cones.index(cone)]
@@ -119,8 +119,10 @@ def support_function(fan: Fan, d: TorusDivisor) -> SupportFunction:
     return SupportFunction(fan, d, tuple(functionals), denom)
 
 
-@dataclass(frozen=True)
-class WallCurve:
+class WallCurve(namedtuple(
+    "WallCurve",
+    "wall cone_a cone_b off_a off_b relation beta_a beta_b",
+)):
     """The torus-invariant curve class of a wall.
 
     wall: (rank-1)-cone; cone_a, cone_b: the two adjacent maximal cones;
@@ -131,14 +133,7 @@ class WallCurve:
     N / sat(span(wall)).
     """
 
-    wall: Cone
-    cone_a: Cone
-    cone_b: Cone
-    off_a: int
-    off_b: int
-    relation: tuple
-    beta_a: int
-    beta_b: int
+    __slots__ = ()
 
     @property
     def negative_rays(self) -> tuple:
@@ -231,8 +226,7 @@ def is_nef(fan: Fan, d: TorusDivisor) -> bool:
     return by_walls
 
 
-@dataclass(frozen=True)
-class OnePsCurve:
+class OnePsCurve(namedtuple("OnePsCurve", "tau w")):
     """Closure of a 1-parameter subgroup of the orbit of tau.
 
     tau: a cone of the ambient fan (possibly the zero cone); w: nonzero
@@ -240,8 +234,7 @@ class OnePsCurve:
     coordinates used by star_fan(fan, tau).
     """
 
-    tau: Cone
-    w: tuple
+    __slots__ = ()
 
 
 def make_one_ps(fan: Fan, tau: Sequence, w: Sequence) -> OnePsCurve:

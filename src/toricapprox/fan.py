@@ -10,7 +10,6 @@ immutable after construction; every query is a pure function.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations, product
@@ -20,7 +19,6 @@ from typing import Sequence
 
 from toricapprox.invariant import check
 from toricapprox.lattice import (
-    QuotientMap,
     primitive_part,
     quotient_lattice,
     smith_normal_form,
@@ -72,19 +70,23 @@ class NotFwps(FanError):
     pass
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(namedtuple("Fan", "rank rays max_cones walls")):
     """A complete simplicial rational fan on Z^rank.
 
     rays: tuple of primitive integer vectors; max_cones: tuple of sorted
     ray-index tuples, each of length rank; walls: tuple of
     (wall_rays, cone_a, cone_b) with cone_a < cone_b, lexicographic order.
+
+    Unlike the other records, a Fan has an instance __dict__: it holds the
+    values derived from the fan (`cached_property`, `per_fan`).  Attribute
+    assignment is refused, so the fan stays immutable.
     """
 
-    rank: int
-    rays: tuple
-    max_cones: tuple
-    walls: tuple
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Fan.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Fan.{name}")
 
     def ray_matrix(self, cone: Cone) -> tuple:
         """Matrix whose columns are the cone's ray generators."""
@@ -312,7 +314,7 @@ def _build_fan(rank: int, rays: tuple, max_cones: tuple) -> Fan:
         )
 
     fan = Fan(rank, prim, cones, tuple(walls))
-    object.__setattr__(fan, "cone_inverses", tuple(table))
+    fan.__dict__["cone_inverses"] = tuple(table)
     return fan
 
 
@@ -401,20 +403,16 @@ def is_terminal(fan: Fan):
     return (not bad, bad)
 
 
-@dataclass(frozen=True)
-class StarFanResult:
+class StarFanResult(namedtuple("StarFanResult", "fan tau quotient ray_map b")):
     """The fan of a torus-orbit closure V(tau) with transport bookkeeping.
 
     fan: the quotient fan; tau: the cone quotiented out; quotient: the
-    lattice projection; ray_map: original ray index -> quotient ray index;
-    b: original index -> positive integer with image(v_i) = b_i * new ray.
+    lattice projection (QuotientMap); ray_map: original ray index ->
+    quotient ray index; b: original index -> positive integer with
+    image(v_i) = b_i * new ray.
     """
 
-    fan: Fan
-    tau: Cone
-    quotient: QuotientMap
-    ray_map: dict
-    b: dict
+    __slots__ = ()
 
 
 @per_fan
@@ -476,8 +474,11 @@ def star_subdivision(fan: Fan, new_ray: Sequence[int]):
     return out, replaced
 
 
-@dataclass(frozen=True)
-class FwpsData:
+class FwpsData(namedtuple(
+    "FwpsData",
+    "fan weights cover_index cover_fan cover_to_ambient ambient_to_cover "
+    "group_factors",
+)):
     """A fake weighted projective space: fan with rank+1 rays.
 
     weights: the unique positive coprime relation sum a_i v_i = 0, in ray
@@ -488,13 +489,7 @@ class FwpsData:
     group_factors: invariant factors of N/N' (the covering group).
     """
 
-    fan: Fan
-    weights: tuple
-    cover_index: int
-    cover_fan: Fan
-    cover_to_ambient: tuple
-    ambient_to_cover: tuple
-    group_factors: tuple
+    __slots__ = ()
 
 
 @per_fan

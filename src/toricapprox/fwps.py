@@ -10,7 +10,7 @@ base case for elementary contractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -70,8 +70,10 @@ class IsProjectiveSpace(FwpsError):
     (handled by the caller via the classical projective-space result)."""
 
 
-@dataclass(frozen=True)
-class CurveCertificate:
+class CurveCertificate(namedtuple(
+    "CurveCertificate",
+    "fan curve intersections minus_k bound trace assumptions",
+)):
     """A unibranch rational curve given as a 1-parameter-subgroup closure.
 
     intersections[i] = D_i·C per fan ray; minus_k = -K·C = sum of the
@@ -80,13 +82,7 @@ class CurveCertificate:
     recorded but not verified (e.g. rationality of lifted points).
     """
 
-    fan: Fan
-    curve: OnePsCurve
-    intersections: tuple
-    minus_k: Fraction
-    bound: Fraction
-    trace: tuple
-    assumptions: tuple
+    __slots__ = ()
 
 
 def make_certificate(fan, curve, bound, trace, assumptions=()) -> CurveCertificate:
@@ -192,8 +188,7 @@ def wps_curve_all_leq1(fan: Fan, p_orbit: Sequence = ()) -> CurveCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class MuPAction:
+class MuPAction(namedtuple("MuPAction", "p weights patch patch_weights")):
     """Normalized weights of a mu_p action on projective space.
 
     weights: (w_0, ..., w_n) with w_0 = r = p and r > w_1 >= ... >= w_n >= 0
@@ -201,10 +196,7 @@ class MuPAction:
     patch_weights: the n residues M(w_i - w_j) for i != j, each <= rn/(n+1).
     """
 
-    p: int
-    weights: tuple
-    patch: int
-    patch_weights: tuple
+    __slots__ = ()
 
 
 def mu_p_normalize(residues: Sequence[int], p: int) -> MuPAction:
@@ -435,10 +427,8 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class _Intermediate:
-    fan: Fan
-    to_ambient: tuple
+class _Intermediate(namedtuple("_Intermediate", "fan to_ambient")):
+    __slots__ = ()
 
 
 def _intermediate_quotient(data: FwpsData, p: int) -> _Intermediate:
@@ -475,8 +465,10 @@ def _intermediate_quotient(data: FwpsData, p: int) -> _Intermediate:
     return _Intermediate(fan2, to_ambient)
 
 
-@dataclass(frozen=True)
-class FiberData:
+class FiberData(namedtuple(
+    "FiberData",
+    "fan ray_sources tau_base to_ambient",
+)):
     """The reduced general fiber of an elementary contraction, as an fwps.
 
     fan: the fiber fan on L = (saturated span of the nonzero-degree rays)
@@ -485,10 +477,7 @@ class FiberData:
     negative rays (the fiber sits inside its orbit closure); to_ambient:
     integer matrix taking fiber coordinates to a lift in N."""
 
-    fan: Fan
-    ray_sources: tuple
-    tau_base: Cone
-    to_ambient: tuple
+    __slots__ = ()
 
 
 def fiber_fwps(fan: Fan, ray: ExtremalRay) -> FiberData:

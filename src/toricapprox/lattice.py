@@ -7,7 +7,7 @@ is arbitrary precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 from typing import Sequence
 
@@ -146,18 +146,17 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*v) == 1
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(namedtuple(
+    "QuotientMap",
+    "projection rank kernel_basis lift",
+)):
     """Projection of Z^n onto a torsion-free quotient Z^n / sat(<kernel>).
 
     projection is (rank x n); kernel_basis is a basis of the saturated
     kernel; lift is an (n x rank) section with projection·lift = identity.
     """
 
-    projection: tuple
-    rank: int
-    kernel_basis: tuple
-    lift: tuple
+    __slots__ = ()
 
     def apply(self, v: Sequence[int]) -> tuple:
         return mat_vec(self.projection, v)

@@ -8,7 +8,7 @@ full chain runner tracking a point's orbit cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -24,7 +24,6 @@ from toricapprox.lattice import primitive_part, _quotient_by_span
 from toricapprox.linalg import nonneg_combination, vec_dot
 from toricapprox.divisor import (
     TorusDivisor,
-    WallCurve,
     canonical_divisor,
     intersect,
     is_nef,
@@ -71,20 +70,17 @@ DIVISORIAL = "Divisorial"
 FLIP = "Flip"
 
 
-@dataclass(frozen=True)
-class ExtremalRay:
+class ExtremalRay(namedtuple("ExtremalRay", "curve j_minus k_degree")):
     """An extreme ray of the Mori cone, represented by a wall curve.
 
-    j_minus: ray indices with negative relation coefficient, which span the
-    exceptional cone; k_degree: K·C.  The circuit (j_minus, j_plus) of the
-    wall relation fixes the kind of the contraction: MoriFiber when no
-    coefficient is negative (the exceptional locus is all of X), Divisorial
-    when exactly one is, Flip otherwise.
+    curve: the WallCurve; j_minus: ray indices with negative relation
+    coefficient, which span the exceptional cone; k_degree: K·C.  The
+    circuit (j_minus, j_plus) of the wall relation fixes the kind of the
+    contraction: MoriFiber when no coefficient is negative (the exceptional
+    locus is all of X), Divisorial when exactly one is, Flip otherwise.
     """
 
-    curve: WallCurve
-    j_minus: tuple
-    k_degree: Fraction
+    __slots__ = ()
 
     @property
     def is_k_negative(self) -> bool:
@@ -148,8 +144,11 @@ def classify_contraction(fan: Fan, ray: ExtremalRay):
     return ray.kind, ray.j_minus
 
 
-@dataclass(frozen=True)
-class ContractionResult:
+class ContractionResult(namedtuple(
+    "ContractionResult",
+    "kind source target ray_map exc_cone quotient_projection",
+    defaults=(None,),
+)):
     """A divisorial or Mori-fiber contraction psi: X -> Y.
 
     ray_map: X ray index -> Y ray index (None for collapsed rays);
@@ -157,12 +156,7 @@ class ContractionResult:
     onto the base lattice.  The general fiber is `fwps.fiber_fwps`.
     """
 
-    kind: str
-    source: Fan
-    target: Fan
-    ray_map: tuple
-    exc_cone: Cone
-    quotient_projection: Optional[tuple] = None
+    __slots__ = ()
 
 
 def _contract_divisorial(fan: Fan, ray: ExtremalRay) -> ContractionResult:
@@ -282,21 +276,17 @@ def push_divisor(res: ContractionResult, d: TorusDivisor) -> TorusDivisor:
     return TorusDivisor(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class FlipResult:
+class FlipResult(namedtuple(
+    "FlipResult",
+    "source target star new_ray exc_cone flipped_exc_cone "
+    "contracted_class dstar_multiple",
+)):
     """A flip X -> X' with the common star subdivision X*.
 
     Rays of X' are identical (same table) to X; X* appends the new ray w*.
     """
 
-    source: Fan
-    target: Fan
-    star: Fan
-    new_ray: tuple
-    exc_cone: Cone
-    flipped_exc_cone: Cone
-    contracted_class: tuple
-    dstar_multiple: Fraction
+    __slots__ = ()
 
 
 def flip(fan: Fan, ray: ExtremalRay) -> FlipResult:
@@ -406,8 +396,11 @@ def step_a(fan: Fan, d: TorusDivisor):
     return best, chosen
 
 
-@dataclass(frozen=True)
-class MmpStepRecord:
+class MmpStepRecord(namedtuple(
+    "MmpStepRecord",
+    "a ray fan divisor shifted p_orbit p_in_exc result",
+    defaults=(None,),
+)):
     """One elementary MMP step.
 
     a: the a-value; ray: the contracted extremal ray, whose circuit gives
@@ -418,14 +411,7 @@ class MmpStepRecord:
     the source; p_in_exc: whether the chain terminates at this step.
     """
 
-    a: Fraction
-    ray: ExtremalRay
-    fan: Fan
-    divisor: TorusDivisor
-    shifted: TorusDivisor
-    p_orbit: Cone
-    p_in_exc: bool
-    result: object = None
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -436,16 +422,14 @@ class MmpStepRecord:
         return self.ray.j_minus
 
 
-@dataclass(frozen=True)
-class MmpChain:
+class MmpChain(namedtuple("MmpChain", "steps canonically_bounded")):
     """The sequence of elementary MMP steps of the a-value runner.
 
     canonically_bounded is propagated metadata: carried across every step
     where P avoids the exceptional locus; never verified arithmetically.
     """
 
-    steps: tuple
-    canonically_bounded: bool
+    __slots__ = ()
 
     @property
     def terminal_step(self) -> MmpStepRecord:

@@ -370,3 +370,15 @@ def test_casestudy_p4713_runs_with_sympy_blocked(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_search_without_sympy_names_the_extra(monkeypatch, capsys):
+    from toricapprox.cli import EXIT_DEPENDENCY, main
+
+    # With sys.modules["sympy"] = None, any import of sympy raises.
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    argv = ["casestudy", "search", "--weights", "1,2,3", "--cap", "12"]
+    assert main(argv) == EXIT_DEPENDENCY == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "missing dependency"
+    assert "toricapprox[search]" in doc["explanation"]

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,7 +63,7 @@ def test_classify_rejects_non_extremal(f1):
         a + b for a, b in zip(rays[0].curve.relation, rays[1].curve.relation)
     )
     fake = type(rays[0])(
-        curve=replace(rays[0].curve, relation=combo),
+        curve=rays[0].curve._replace(relation=combo),
         j_minus=tuple(i for i, b in enumerate(combo) if b < 0),
         k_degree=Fraction(-1),
     )
@@ -262,7 +261,7 @@ def _wall_rays(fan):
     return [
         ExtremalRay(c, c.negative_rays, intersect(fan, k, c)) for c in curves
     ] + [ExtremalRay(
-        replace(curves[0], relation=neg),
+        curves[0]._replace(relation=neg),
         tuple(i for i, b in enumerate(neg) if b < 0),
         Fraction(-1),
     )]
