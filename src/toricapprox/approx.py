@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from toricapprox.fan import Fan, is_projective_space
+from toricapprox.fan import Fan, _ray_sources, is_projective_space
 from toricapprox.divisor import (
     OnePsCurve,
     TorusDivisor,
@@ -209,7 +209,7 @@ def _transport_divisorial(step, cert):
     res: ContractionResult = step.result
     x, y = res.source, res.target
     check(cert.fan == y, "certificate must live on the step's target")
-    inv = {j: i for i, j in enumerate(res.ray_map) if j is not None}
+    inv = _ray_sources(res.ray_map)
     tau_x = tuple(sorted(inv[j] for j in cert.curve.tau))
     if not x.has_cone(tau_x):
         raise OrbitInExc(f"orbit cone {tau_x} is not a cone upstream")

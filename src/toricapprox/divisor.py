@@ -13,7 +13,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from toricapprox.fan import Cone, Fan, per_fan, star_fan
+from toricapprox.fan import Cone, Fan, _ray_sources, per_fan, star_fan
 from toricapprox.invariant import check
 from toricapprox.lattice import primitive_part
 from toricapprox.linalg import solve_general, vec_dot
@@ -272,7 +272,7 @@ def restrict_to_orbit_closure(fan: Fan, d: TorusDivisor, tau: Cone):
     for t, row in zip(tau, rows):
         u = [x + d.coeffs[t] * y for x, y in zip(u, row)]
     coeffs = [Fraction(0)] * len(sf.fan.rays)
-    for i, j in sf.ray_map.items():
+    for j, i in _ray_sources(sf.ray_map).items():
         dprime = d.coeffs[i] - Fraction(vec_dot(u, fan.rays[i]), det)
         coeffs[j] = dprime / sf.b[i]
     return sf, TorusDivisor(tuple(coeffs))
@@ -324,16 +324,15 @@ def one_ps_intersections(fan: Fan, c: OnePsCurve) -> tuple:
         a[j] += x * d_m
     for j, x in zip(sub.max_cones[k_m], lam_m):
         a[j] += x * d_p
-    m = lcm(*star.b.values())
+    m = lcm(*filter(None, star.b))
     den = d_p * d_m * m
-    num = [0] * len(fan.rays)  # (D_i·C) · den
-    for i, j in star.ray_map.items():
-        num[i] = a[j] * (m // star.b[i])
+    num = [  # (D_i·C) · den
+        0 if j is None else a[j] * (m // bi) for j, bi in zip(star.ray_map, star.b)
+    ]
     out = [Fraction(x, den) for x in num]
     if c.tau:
-        n = fan.rank
         det, rows = _tau_rows(fan, c.tau)
-        v = [sum(num[i] * fan.rays[i][r] for i in star.ray_map) for r in range(n)]
+        v = [sum(map(mul, num, col)) for col in zip(*fan.rays)]
         for t, row in zip(c.tau, rows):
             out[t] = Fraction(-vec_dot(row, v), det * den)
     return tuple(out)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations, product
 from math import gcd, prod
-from operator import mul
+from operator import ge, mul
 from typing import Sequence
 
 from toricapprox.invariant import check
@@ -88,6 +88,9 @@ class Fan(namedtuple("Fan", "rank rays max_cones walls")):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete Fan.{name}")
 
+    def __dir__(self):  # without per_fan's tuple keys, which dir() cannot sort
+        return [k for k in super().__dir__() if type(k) is str]
+
     def ray_matrix(self, cone: Cone) -> tuple:
         """Matrix whose columns are the cone's ray generators."""
         return tuple(
@@ -139,10 +142,11 @@ class Fan(namedtuple("Fan", "rank rays max_cones walls")):
         return any(s <= set(c) for c in self.max_cones)
 
     def require_cone(self, cone: Sequence) -> Cone:
-        """The cone as a sorted index tuple; ConeNotInFan if it is none or
-        repeats an index."""
-        cone = tuple(sorted(cone))
-        if len(set(cone)) != len(cone) or not self.has_cone(cone):
+        """The cone as a sorted index tuple (a strictly increasing tuple
+        is returned as is); ConeNotInFan if it is none or repeats an index."""
+        if type(cone) is not tuple or any(map(ge, cone, cone[1:])):
+            cone = tuple(sorted(cone))
+        if any(map(ge, cone, cone[1:])) or not self.has_cone(cone):
             raise ConeNotInFan(f"{cone} is not a cone of the fan")
         return cone
 
@@ -161,13 +165,15 @@ def _cone_inverse(rays, cone) -> tuple:
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _MISSING = object()
+_IDENTITY_QUOTIENTS = {}  # rank -> the QuotientMap of every zero-cone star
 
 
 def per_fan(fn):
     """Memoize fn(fan, *args) on the fan itself.
 
-    The values sit in a dict in the fan's own __dict__, as a
-    `cached_property` value does, so they are freed with the fan.
+    Each value sits in the fan's own __dict__ under (slot,) + args.  Values
+    pointing back at the fan (support functions, fwps data, the zero-cone
+    star) make a cycle: an evicted fan is freed by the cyclic collector.
     `cache_info()` reads like `lru_cache`'s; its currsize is the number of
     values made, over all fans, not the number still alive.
     """
@@ -176,11 +182,11 @@ def per_fan(fn):
 
     @wraps(fn)
     def memo(fan, *args):
-        values = fan.__dict__.setdefault(slot, {})
-        value = values.get(args, _MISSING)
+        key = (slot,) + args
+        value = fan.__dict__.get(key, _MISSING)
         if value is _MISSING:
             counts[1] += 1
-            value = values[args] = fn(fan, *args)
+            value = fan.__dict__[key] = fn(fan, *args)
             counts[2] += 1
         else:
             counts[0] += 1
@@ -239,7 +245,7 @@ def _build_fan(rank: int, rays: tuple, max_cones: tuple) -> Fan:
     prim = tuple(primitive_part(v) for v in rays)
     if len(set(prim)) != len(prim):
         raise NotAFan("duplicate rays")
-    cones = tuple(tuple(sorted(c)) for c in max_cones)
+    cones = tuple(c if all(map(ge, c[1:], c)) else tuple(sorted(c)) for c in max_cones)
     if len(set(cones)) != len(cones):
         raise NotAFan("duplicate maximal cones")
     table = []
@@ -340,11 +346,7 @@ def wps_fan(weights: Sequence[int]) -> Fan:
                 f"weights {q} are not well-formed (subset {rest} shares a factor)"
             )
     quot = quotient_lattice([q], n + 1)
-    rays = []
-    for i in range(n + 1):
-        e = [0] * (n + 1)
-        e[i] = 1
-        rays.append(quot.apply(e))
+    rays = list(zip(*quot.projection))  # the images of the basis vectors
     cones = list(combinations(range(n + 1), n))
     fan = build_fan(n, rays, cones)
     check(
@@ -371,15 +373,16 @@ def _has_interior_points(fan: Fan, k: int) -> bool:
     """Whether the k-th maximal cone's simplex conv({0} union rays) holds a
     lattice point besides 0 and the rays.
 
-    Enumerates the finite group N / (ray lattice) via Smith normal form.  A
-    class x = u^-1·y has barycentric coordinates adj·x / d; it is such a
-    point iff their fractional parts, the residues of adj·x mod d over d,
-    are not all zero and sum to at most 1.
+    In rank <= 2 that is d > 1: a cone 1/r(1, a) with r > 1 holds the point
+    (1/r, a/r).  Otherwise enumerates N / (ray lattice) via Smith normal
+    form.  A class x = u^-1·y has barycentric coordinates adj·x / d; it is
+    such a point iff their fractional parts, the residues of adj·x mod d
+    over d, are not all zero and sum to at most 1.
     """
     n = fan.rank
     d, adj = fan.cone_inverse(k)
-    if d == 1:
-        return False
+    if d == 1 or n <= 2:
+        return d > 1
     diag, _, _, uinv = smith_normal_form(fan.ray_matrix(fan.max_cones[k]))
     rows = [adj[i * n:(i + 1) * n] for i in range(n)]
     for y in product(*(range(e) for e in diag)):
@@ -407,9 +410,10 @@ class StarFanResult(namedtuple("StarFanResult", "fan tau quotient ray_map b")):
     """The fan of a torus-orbit closure V(tau) with transport bookkeeping.
 
     fan: the quotient fan; tau: the cone quotiented out; quotient: the
-    lattice projection (QuotientMap); ray_map: original ray index ->
-    quotient ray index; b: original index -> positive integer with
-    image(v_i) = b_i * new ray.
+    lattice projection (QuotientMap); ray_map, b: tuples indexed by original
+    ray i (as `ContractionResult.ray_map`): the quotient ray index of star
+    ray i, and the positive b_i with image(v_i) = b_i * new ray; None and 0
+    off the star (on tau and on rays of no cone containing tau).
     """
 
     __slots__ = ()
@@ -420,15 +424,14 @@ def star_fan(fan: Fan, tau: Cone) -> StarFanResult:
     """Fan of the orbit closure V(tau): quotient the star of tau by span(tau)."""
     tau = fan.require_cone(tau)
     if not tau:
-        quot = quotient_lattice([], fan.rank)
-        ray_map = {i: i for i in range(len(fan.rays))}
-        ones = {i: 1 for i in range(len(fan.rays))}
-        return StarFanResult(fan, (), quot, ray_map, ones)
+        quot = _IDENTITY_QUOTIENTS.setdefault(fan.rank, quotient_lattice([], fan.rank))
+        ray_map = tuple(range(len(fan.rays)))
+        return StarFanResult(fan, (), quot, ray_map, (1,) * len(ray_map))
     quot = quotient_lattice([fan.rays[i] for i in tau], fan.rank)
     star_cones = [c for c in fan.max_cones if set(tau) <= set(c)]
     star_rays = sorted({i for c in star_cones for i in c} - set(tau))
-    ray_map = {}
-    b = {}
+    ray_map = [None] * len(fan.rays)
+    b = [0] * len(fan.rays)
     new_rays = []
     for i in star_rays:
         img = quot.apply(fan.rays[i])
@@ -439,7 +442,12 @@ def star_fan(fan: Fan, tau: Cone) -> StarFanResult:
         tuple(sorted(ray_map[i] for i in c if i not in tau)) for c in star_cones
     ]
     qfan = build_fan(fan.rank - len(tau), new_rays, new_cones)
-    return StarFanResult(qfan, tau, quot, ray_map, b)
+    return StarFanResult(qfan, tau, quot, tuple(ray_map), tuple(b))
+
+
+def _ray_sources(ray_map) -> dict:
+    """Target -> source ray index of a ray-map tuple (None: no image)."""
+    return {j: i for i, j in enumerate(ray_map) if j is not None}
 
 
 def star_subdivision(fan: Fan, new_ray: Sequence[int]):

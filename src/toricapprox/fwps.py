@@ -26,6 +26,7 @@ from toricapprox.fan import (
     is_terminal,
     recognize_fwps,
     star_fan,
+    _ray_sources,
 )
 from toricapprox.lattice import primitive_part, smith_normal_form, _quotient_by_span
 from toricapprox.linalg import mat_mul, mat_vec, solve_general, vec_dot
@@ -175,7 +176,7 @@ def wps_curve_all_leq1(fan: Fan, p_orbit: Sequence = ()) -> CurveCertificate:
     sub = wps_curve_all_leq1(star.fan, sub_orbit)
     curve = _lift_curve(
         fan, star.fan, sub.curve, star.tau,
-        {i: j for j, i in star.ray_map.items()}, star.quotient.lift,
+        _ray_sources(star.ray_map), star.quotient.lift,
     )
     cert = make_certificate(
         fan,
@@ -330,7 +331,7 @@ def classify_boundary(data: FwpsData, ray: int):
     if sub.cover_index == 1:
         witness = next(
             i
-            for i in star.ray_map
+            for i in _ray_sources(star.ray_map).values()
             if cone_multiplicity(data.fan, tuple(sorted((ray, i)))) > 1
         )
         return "wps", star, witness
@@ -415,7 +416,7 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
         bound = Fraction((n - 1) * (n + 1), n)
     curve = _lift_curve(
         fan, star.fan, sub.curve, star.tau,
-        {i: j for j, i in star.ray_map.items()}, star.quotient.lift,
+        _ray_sources(star.ray_map), star.quotient.lift,
     )
     cert = make_certificate(
         fan,

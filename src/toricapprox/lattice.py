@@ -135,8 +135,10 @@ def sublattice_index(gens: Sequence[Sequence[int]], ambient_rank: int) -> int:
 
 
 def primitive_part(v: Sequence[int]) -> tuple:
-    """v divided by the gcd of its entries; errors on the zero vector."""
+    """v / gcd(v), or v itself if a primitive int tuple; ZeroVector if v = 0."""
     g = gcd(*v)
+    if g == 1 and type(v) is tuple and all(type(x) is int for x in v):
+        return v
     if g == 0:
         raise ZeroVector("the zero vector spans no ray")
     return tuple(x // g for x in v)

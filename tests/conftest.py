@@ -132,6 +132,54 @@ def random_fan_suite(rng, count: int):
     return out
 
 
+def hirzebruch_fan(a: int) -> Fan:
+    """The Hirzebruch surface F_a (F_0 = P^1 x P^1, F_1 = the blown-up plane)."""
+    return build_fan(
+        2, [(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)]
+    )
+
+
+def smooth_surface_suite(max_a: int, blowups: int, nef_draws: int = 5):
+    """(fan, divisors) pairs over smooth complete toric surfaces.
+
+    The fans are P^2 and F_0 ... F_max_a, each with every sequence of at most
+    `blowups` blowups at torus-fixed points (star subdivision at v_i + v_j of
+    a maximal cone), deduplicated by rays and cones.  Every smooth complete
+    toric surface is one of these for some max_a and blowups (Oda 1978;
+    Fulton, *Introduction to Toric Varieties*, 2.5).  The divisors are D = 0
+    and up to `nef_draws` distinct nef vectors with entries 0-3, drawn from a
+    `random.Random` seeded by the fan's rays, so a fan gets the same divisors
+    in every slice of the suite.
+    """
+    import random
+
+    fans = {}
+
+    def grow(fan, depth):
+        fans.setdefault(fan, None)
+        if depth < blowups:
+            for i, j in fan.max_cones:
+                v = tuple(x + y for x, y in zip(fan.rays[i], fan.rays[j]))
+                grow(star_subdivision(fan, v)[0], depth + 1)
+
+    for base in [projective_space_fan(2)] + [
+        hirzebruch_fan(a) for a in range(max_a + 1)
+    ]:
+        grow(base, 0)
+    out = []
+    for fan in fans:
+        rng = random.Random(repr(fan.rays))
+        divisors = [TorusDivisor.of([0] * len(fan.rays))]
+        for _ in range(50):
+            if len(divisors) > nef_draws:
+                break
+            d = TorusDivisor.of([rng.randrange(4) for _ in fan.rays])
+            if d not in divisors and is_nef(fan, d):
+                divisors.append(d)
+        out.append((fan, tuple(divisors)))
+    return out
+
+
 def all_orbit_cones(fan: Fan):
     """The zero cone and every cone of the fan (one per orbit stratum)."""
     out = [()]

@@ -16,6 +16,12 @@ and the validator below uses them.
 N / sat(span(wall)) from an explicit quotient lattice; it is the reference
 for the `beta_a` / `beta_b` that `toricapprox.divisor.wall_curves` reads
 off the cone inverses.
+
+`has_interior_points_by_enumeration` decides whether a maximal cone's
+simplex holds a lattice point besides 0 and its rays by enumerating
+N / (ray lattice) in every rank; it is the reference for
+`toricapprox.fan._has_interior_points`, which decides rank <= 2 by the
+determinant alone.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from toricapprox.fan import NotAFan, NotComplete, NotSimplicial
-from toricapprox.lattice import primitive_part, quotient_lattice
-from toricapprox.linalg import clear_denominators, vec_dot
+from toricapprox.lattice import primitive_part, quotient_lattice, smith_normal_form
+from toricapprox.linalg import clear_denominators, mat_vec, vec_dot
 
 
 def _rref(m, cols):
@@ -238,3 +244,26 @@ def reference_off_ray_index(fan, wall, ray):
     return abs(img[0]) if len(img) == 1 else abs(
         img[next(j for j, x in enumerate(img) if x != 0)]
     )
+
+
+def has_interior_points_by_enumeration(fan, k):
+    """Whether the k-th maximal cone's simplex conv({0} union rays) holds a
+    lattice point besides 0 and the rays, in any rank.
+
+    Enumerates the finite group N / (ray lattice) via Smith normal form.  A
+    class x = u^-1·y has barycentric coordinates adj·x / d; it is such a
+    point iff their fractional parts, the residues of adj·x mod d over d,
+    are not all zero and sum to at most 1.
+    """
+    n = fan.rank
+    d, adj = fan.cone_inverse(k)
+    if d == 1:
+        return False
+    diag, _, _, uinv = smith_normal_form(fan.ray_matrix(fan.max_cones[k]))
+    rows = [adj[i * n:(i + 1) * n] for i in range(n)]
+    for y in product(*(range(e) for e in diag)):
+        x = mat_vec(uinv, y)
+        t = [vec_dot(row, x) % d for row in rows]
+        if any(t) and sum(t) <= d:
+            return True
+    return False

@@ -1,4 +1,4 @@
-"""Acceptance gate: seven criteria, each reporting one pass/fail line.
+"""Acceptance gate: eight criteria, each reporting one pass/fail line.
 
 Criterion budgets are wall-clock seconds asserted inside each test.  The
 weighted-projective-space sweep covers all well-formed weight vectors of
@@ -15,7 +15,12 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from conftest import all_orbit_cones, random_fan_suite, well_formed_weight_vectors
+from conftest import (
+    all_orbit_cones,
+    random_fan_suite,
+    smooth_surface_suite,
+    well_formed_weight_vectors,
+)
 from toricapprox.approx import ArithmeticContext, theorem16_driver
 from toricapprox.divisor import (
     TorusDivisor,
@@ -342,4 +347,33 @@ def test_criterion_7_oracle_equivalences():
     _report(
         "PASS: criterion 7 — generating-function, jet-slice, and Smith-form "
         f"oracles all agree in {elapsed:.1f}s"
+    )
+
+
+def test_criterion_8_smooth_surface_sweep():
+    # The paper's theorem for smooth toric surfaces, on a slice of the
+    # sweep over P^2 and F_a with torus-fixed blowups: every driver run
+    # returns, -K·C <= 2 off P^2 (a terminal surface is smooth), and alpha
+    # equals D·C summed from the certificate's intersection vector.
+    t0 = time.monotonic()
+    suite = smooth_surface_suite(3, 1, nef_draws=1)
+    runs = 0
+    for fan, divisors in suite:
+        pn = is_projective_space(fan)
+        for d in divisors:
+            for orbit in all_orbit_cones(fan):
+                res = theorem16_driver(fan, d, orbit, assume_canonically_bounded=True)
+                cert = res.certificate
+                assert pn or cert.minus_k <= 2, (fan.rays, d, orbit)
+                assert res.alpha == sum(
+                    a * x for a, x in zip(d.coeffs, cert.intersections)
+                )
+                runs += 1
+    elapsed = time.monotonic() - t0
+    assert len(suite) == 24 and runs == 492
+    assert elapsed < 30.0, f"smooth surface sweep took {elapsed:.1f}s"
+    _report(
+        f"PASS: criterion 8 — {runs} driver runs on {len(suite)} smooth "
+        f"toric surfaces return with -K·C <= 2 off P^2 and alpha = D·C "
+        f"in {elapsed:.1f}s"
     )

@@ -125,15 +125,18 @@ def test_star_fan_of_wps_is_wps(wps4713):
     data = recognize_fwps(star.fan)
     # The orbit closure of the weight-4 ray is a projective line.
     assert data.weights == (1, 1)
-    # b bookkeeping covers exactly the star's other rays.
-    assert set(star.ray_map) == {1, 2}
-    assert all(b >= 1 for b in star.b.values())
+    # ray_map and b are indexed by source ray; b covers exactly the star's
+    # other rays, and ray 0 (tau itself) has no image.
+    assert star.ray_map[0] is None and star.b[0] == 0
+    assert {i for i, j in enumerate(star.ray_map) if j is not None} == {1, 2}
+    assert all(star.b[i] >= 1 for i in (1, 2))
 
 
 def test_star_fan_zero_cone_is_identity(p2):
     star = star_fan(p2, ())
     assert star.fan == p2
-    assert star.ray_map == {0: 0, 1: 1, 2: 2}
+    assert star.ray_map == (0, 1, 2)
+    assert star.b == (1, 1, 1)
 
 
 def test_star_subdivision(p2):

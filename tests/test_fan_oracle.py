@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_fan_suite
-from fan_oracle import reference_build
+from conftest import random_fan_suite, well_formed_weight_vectors
+from fan_oracle import has_interior_points_by_enumeration, reference_build
+from toricapprox import fan as fan_module
 from toricapprox.fan import (
     FanError,
     NotAFan,
@@ -14,6 +15,7 @@ from toricapprox.fan import (
     NotSimplicial,
     build_fan,
     projective_space_fan,
+    wps_fan,
 )
 
 # Every fan that tests/test_fan.py and tests/test_report_cli.py reject,
@@ -128,3 +130,20 @@ def test_projective_space_builds_up_to_rank_6():
         assert len(fan.max_cones) == n + 1
         assert len(fan.walls) == (n + 1) * n // 2
         assert all(fan.cone_inverse(k)[0] == 1 for k in range(n + 1))
+
+
+
+def test_rank_2_terminality_matches_the_enumeration():
+    # In rank 2 a maximal cone is terminal iff it is smooth; the library
+    # reads that off the determinant, the oracle enumerates lattice points.
+    fans = [wps_fan(q) for q in well_formed_weight_vectors(3, 40)]
+    assert len(fans) == 568  # criterion 2's length-3 vectors
+    suite = random_fan_suite(random.Random(1), 60)
+    fans += [fan for fan, _ in suite if fan.rank == 2]
+    verdicts = set()
+    for fan in fans:
+        for k in range(len(fan.max_cones)):
+            expect = has_interior_points_by_enumeration(fan, k)
+            assert fan_module._has_interior_points(fan, k) is expect
+            verdicts.add(expect)
+    assert len(fans) > 568 and verdicts == {True, False}

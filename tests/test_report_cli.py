@@ -121,6 +121,22 @@ def test_cli_fan_terminal(p2_files, tmp_path, capsys):
     assert out["terminal"] is False and out["witness"]
 
 
+# wps_fan((10**12 + 1, 10**12 + 3, 10**12 + 7)): every cone has multiplicity
+# about 10**12.  Enumerating its lattice points ended in MemoryError, exit 1.
+HUGE_PLANE_DOC = {"rank": 2, "rays": [[-1000000000003, 2], [1000000000001, -3],
+                                      [0, 1]],
+                  "max_cones": [[0, 1], [0, 2], [1, 2]]}
+
+
+def test_cli_fan_terminal_huge_multiplicity_plane(tmp_path, capsys):
+    path = _write(tmp_path, "fan.json", HUGE_PLANE_DOC)
+    assert main(["fan-terminal", "--fan", path]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"terminal": False, "witness": [[0, 1], [0, 2], [1, 2]]}
+    assert main(["curve-find", "--fan", path, "--orbit", "[0]"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["curve"]["tau"] == [0]
+
+
 def test_cli_divisor_nef(p2_files, capsys):
     fan, div = p2_files
     assert main(["divisor-nef", "--fan", fan, "--divisor", div]) == EXIT_OK
