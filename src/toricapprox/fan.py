@@ -10,7 +10,6 @@ immutable after construction; every query is a pure function.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations, product
 from math import gcd, prod
@@ -24,12 +23,7 @@ from toricapprox.lattice import (
     smith_normal_form,
     sublattice_index,
 )
-from toricapprox.linalg import (
-    clear_denominators,
-    det_adjugate,
-    mat_vec,
-    nullspace,
-)
+from toricapprox.linalg import det_adjugate, mat_vec
 
 Cone = tuple
 
@@ -484,20 +478,44 @@ def star_subdivision(fan: Fan, new_ray: Sequence[int]):
 
 class FwpsData(namedtuple(
     "FwpsData",
-    "fan weights cover_index cover_fan cover_to_ambient ambient_to_cover "
-    "group_factors",
+    "fan weights cover_index cover_fan cover_to_ambient group_factors",
 )):
     """A fake weighted projective space: fan with rank+1 rays.
 
     weights: the unique positive coprime relation sum a_i v_i = 0, in ray
     order; cover_index: index of the ray-generated sublattice N' in N;
     cover_fan: the same rays in coordinates on N' (a genuine weighted
-    projective space fan); cover_to_ambient / ambient_to_cover: the lattice
-    maps (integer, resp. rational, matrices acting on column vectors);
-    group_factors: invariant factors of N/N' (the covering group).
+    projective space fan); cover_to_ambient: the integer matrix whose
+    columns are the basis of N' those coordinates refer to; group_factors:
+    invariant factors of N/N' (the covering group).  Classes in N/N' are
+    read off the inverse of the cone of the first rank rays
+    (`Fan.cone_inverse`).
     """
 
     __slots__ = ()
+
+
+def _sublattice_fan(fan: Fan, gens: Sequence) -> tuple:
+    """The fan's rays rewritten in a basis of the lattice L = <gens>.
+
+    One Smith form u·G·v = diag, G with the generators as columns: L has
+    the basis B = u^-1·diag (columns), and a ray v has coordinates
+    (u·v)_j / diag_j.  Returns (the fan on L, B, diag).  The rays must lie
+    in L, and are primitive there as they are in N.
+    """
+    n = fan.rank
+    diag, u, _, uinv = smith_normal_form(tuple(zip(*gens)))
+    basis = tuple(
+        tuple(uinv[r][j] * diag[j] for j in range(n)) for r in range(n)
+    )
+    rays = []
+    for v in fan.rays:
+        coords = [divmod(x, d) for x, d in zip(mat_vec(u, v), diag)]
+        check(not any(r for _, r in coords), "every ray must lie in L")
+        rays.append(tuple(q for q, _ in coords))
+    sub = build_fan(n, rays, fan.max_cones)
+    check(sub.rays == tuple(rays), "the rays must already be primitive in L")
+    return sub, basis, diag
 
 
 @per_fan
@@ -506,39 +524,23 @@ def recognize_fwps(fan: Fan) -> FwpsData:
 
     Succeeds iff the fan is complete simplicial (guaranteed at build) with
     exactly rank+1 rays; returns the weights, the covering index, and the
-    universal cover fan on the sublattice generated by the rays.
+    universal cover fan on the sublattice generated by the rays.  With
+    (D, R) the inverse of the cone of the first rank rays, the relation is
+    D·v_n = sum (R·v_n)_i v_i, so the weights are (-R·v_n, D) made
+    primitive.
     """
     n = fan.rank
     if len(fan.rays) != n + 1:
         raise NotFwps(
             f"fan has {len(fan.rays)} rays, a rank-{n} fwps needs {n + 1}"
         )
-    cols = tuple(tuple(fan.rays[i][r] for i in range(n + 1)) for r in range(n))
-    kern = nullspace(cols)
-    if len(kern) != 1:
-        raise NotFwps("rays admit more than one relation")
-    rel = clear_denominators(kern[0])
-    if all(x < 0 for x in rel):
-        rel = tuple(-x for x in rel)
+    # n+1 rays of a complete fan: every n of them span a maximal cone.
+    k = fan.max_cones.index(tuple(range(n)))
+    det, lam = fan.scaled_coefficients(k, fan.rays[n])
+    rel = primitive_part(tuple(-x for x in lam) + (det,))
     if not all(x > 0 for x in rel):
         raise NotFwps(f"ray relation {rel} is not positive")
-    diag, u, _, uinv = smith_normal_form(cols)
-    index = prod(diag)
-    # Basis of the ray-generated sublattice N' as columns: B = u^{-1}·diag(d).
-    cover_to_ambient = tuple(
-        tuple(uinv[r][j] * diag[j] for j in range(n)) for r in range(n)
-    )
-    ambient_to_cover = tuple(
-        tuple(Fraction(u[j][r], diag[j]) for r in range(n)) for j in range(n)
-    )
-    cover_rays = [
-        tuple(int(x) for x in mat_vec(ambient_to_cover, v)) for v in fan.rays
-    ]
-    cover = build_fan(n, cover_rays, fan.max_cones)
-    check(
-        cover.rays == tuple(tuple(r) for r in cover_rays),
-        "cover rays must already be primitive",
-    )
+    cover, cover_to_ambient, diag = _sublattice_fan(fan, fan.rays)
     check(
         sublattice_index(cover.rays, n) == 1,
         "the cover rays must generate the cover lattice",
@@ -546,10 +548,9 @@ def recognize_fwps(fan: Fan) -> FwpsData:
     return FwpsData(
         fan=fan,
         weights=rel,
-        cover_index=index,
+        cover_index=prod(diag),
         cover_fan=cover,
         cover_to_ambient=cover_to_ambient,
-        ambient_to_cover=ambient_to_cover,
         group_factors=tuple(d for d in diag if d > 1),
     )
 
@@ -562,16 +563,13 @@ def projective_space_fan(n: int) -> Fan:
 
 
 def is_projective_space(fan: Fan) -> bool:
-    """Lattice-isomorphic to P^n: n+1 rays, all charts smooth, index 1."""
+    """Lattice-isomorphic to P^n: n+1 rays, all weights 1, index 1."""
     if len(fan.rays) != fan.rank + 1:
         return False
     try:
         data = recognize_fwps(fan)
     except NotFwps:
         return False
-    return (
-        data.cover_index == 1
-        and all(w == 1 for w in data.weights)
-        and all(cone_multiplicity(fan, c) == 1 for c in fan.max_cones)
-    )
+    # Then any n of the rays span N' = N, so every chart is smooth.
+    return data.cover_index == 1 and all(w == 1 for w in data.weights)
 

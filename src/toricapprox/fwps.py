@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 from typing import Sequence
 
 from toricapprox.fan import (
@@ -27,9 +27,10 @@ from toricapprox.fan import (
     recognize_fwps,
     star_fan,
     _ray_sources,
+    _sublattice_fan,
 )
 from toricapprox.lattice import primitive_part, smith_normal_form, _quotient_by_span
-from toricapprox.linalg import mat_mul, mat_vec, solve_general, vec_dot
+from toricapprox.linalg import mat_mul, mat_vec
 from toricapprox.divisor import (
     OnePsCurve,
     TorusDivisor,
@@ -235,33 +236,33 @@ def mu_p_residues(data: FwpsData) -> tuple:
     For W = P^n / mu_p: pick a lattice point xi of N generating N/N'; the
     residue of homogeneous coordinate x_i (relative to x_n) is
     p·<m_i, xi> mod p, where m_i is the character with divisor D_i - D_n.
+    The m_i are the dual basis of the first n rays, so for xi = e_k these
+    are the entries of column k of R, (D = p, R) the inverse of their cone.
     """
-    n = data.fan.rank
+    if not _is_pn_mod_p(data):
+        raise NotPnModP("the cover must be projective space of prime index")
     p = data.cover_index
-    # xi: a point of N whose class generates N/N' (cyclic of prime order).
-    # Some standard basis vector works: if all were in N' then N' = N.
-    rays = data.cover_fan.rays
-    xi = None
-    for cand in _basis_vectors(n):
-        img = mat_vec(data.ambient_to_cover, cand)
-        if any(Fraction(x).denominator == p for x in img):
-            xi = img
-            break
-    check(xi is not None, "a standard basis vector generates N/N'")
-    res = []
-    for i in range(n):
-        # m_i: <m_i, v'_k> = delta_ki - delta_kn over the cover rays.
-        rows = [rays[k] for k in range(n + 1)]
-        target = [(1 if k == i else 0) - (1 if k == n else 0) for k in range(n + 1)]
-        m = solve_general(rows, target)
-        res.append(int(p * vec_dot(m, xi)) % p)
-    res.append(0)
-    return tuple(res)
+    _, _, col = _class_of_order(data, p)
+    return tuple(x % p for x in col) + (0,)
 
 
-def _basis_vectors(n: int):
-    for k in range(n):
-        yield tuple(1 if r == k else 0 for r in range(n))
+def _class_of_order(data: FwpsData, p: int) -> tuple:
+    """(k, order, R·e_k) for the first standard basis vector e_k whose
+    class in N/N' has order divisible by p.
+
+    The cover is projective space, so the first n rays are a basis of N',
+    in which e_k has coordinates R·e_k / D for (D, R) the inverse of their
+    cone: its class has order D / gcd(D, R·e_k).  The classes of the e_k
+    generate N/N', whose exponent p divides, so one of them works.
+    """
+    fan = data.fan
+    n = fan.rank
+    d, r = fan.cone_inverse(fan.max_cones.index(tuple(range(n))))
+    cols = [r[k::n] for k in range(n)]
+    orders = [d // gcd(d, *col) for col in cols]
+    k = next((k for k in range(n) if orders[k] % p == 0), None)
+    check(k is not None, "some basis class has order divisible by p")
+    return k, orders[k], cols[k]
 
 
 def mu_p_torus_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
@@ -384,11 +385,10 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
     q = data.cover_index
     p = next(d for d in range(2, q + 1) if q % d == 0)
     if p != q:
-        inter = _intermediate_quotient(data, p)
-        sub = fwps_curve(recognize_fwps(inter.fan), p_orbit)
+        inter, to_ambient = _intermediate_quotient(data, p)
+        sub = fwps_curve(recognize_fwps(inter), p_orbit)
         curve = _lift_curve(
-            fan, inter.fan, sub.curve, (), range(len(fan.rays)),
-            inter.to_ambient,
+            fan, inter, sub.curve, (), range(len(fan.rays)), to_ambient
         )
         cert = make_certificate(
             fan,
@@ -428,42 +428,17 @@ def fwps_curve(data: FwpsData, p_orbit: Sequence = ()) -> CurveCertificate:
     return cert
 
 
-class _Intermediate(namedtuple("_Intermediate", "fan to_ambient")):
-    __slots__ = ()
-
-
-def _intermediate_quotient(data: FwpsData, p: int) -> _Intermediate:
+def _intermediate_quotient(data: FwpsData, p: int) -> tuple:
     """The quotient P^n/mu_p sitting under W = P^n/G for p | |G|.
 
-    Its lattice is N'' = N' + Z·xi for xi of order p in N/N'; the fan keeps
-    the same rays, rewritten in a basis of N''.
+    Its lattice is N'' = N' + Z·xi for xi of order p in N/N'; returns the
+    fan with the same rays, rewritten in a basis of N'', and that basis as
+    the columns of an integer matrix.
     """
-    n = data.fan.rank
-    # Find xi in N whose class in N/N' has order exactly p: some basis
-    # vector has class of order divisible by p (the classes of the basis
-    # generate the group, whose exponent p divides); scale it down.
-    xi = None
-    for cand in _basis_vectors(n):
-        img = mat_vec(data.ambient_to_cover, cand)
-        denom = lcm(*(Fraction(x).denominator for x in img))
-        if denom % p == 0:
-            xi = tuple((denom // p) * c for c in cand)
-            break
-    check(xi is not None, "some basis class has order divisible by p")
-    # Basis of N'' = Z-span of (cover basis columns) + xi, via the Smith
-    # form of the generator matrix: col span of A = col span of U^{-1}·D.
-    gens = [tuple(col) for col in zip(*data.cover_to_ambient)] + [tuple(xi)]
-    cols = tuple(tuple(g[r] for g in gens) for r in range(n))
-    diag, _, _, uinv = smith_normal_form(cols)
-    to_ambient = tuple(
-        tuple(uinv[r][k] * diag[k] for k in range(n)) for r in range(n)
-    )
-    # Rays of W in N'' coordinates.
-    new_rays = [
-        tuple(int(x) for x in solve_general(to_ambient, v)) for v in data.fan.rays
-    ]
-    fan2 = build_fan(n, new_rays, data.fan.max_cones)
-    return _Intermediate(fan2, to_ambient)
+    k, order, _ = _class_of_order(data, p)
+    xi = tuple(order // p if r == k else 0 for r in range(data.fan.rank))
+    gens = tuple(zip(*data.cover_to_ambient)) + (xi,)
+    return _sublattice_fan(data.fan, gens)[:2]
 
 
 class FiberData(namedtuple(
@@ -486,13 +461,12 @@ def fiber_fwps(fan: Fan, ray: ExtremalRay) -> FiberData:
     j_minus, j_plus = ray.j_minus, ray.j_plus
     quot = _quotient_by_span([fan.rays[i] for i in j_minus], fan.rank)
     imgs = [quot.apply(fan.rays[i]) for i in j_plus]
-    inner = _quotient_by_span(imgs, quot.rank)
-    basis = tuple(zip(*inner.kernel_basis))  # columns span the fiber lattice
-    fdim = quot.rank - inner.rank
-    fib_rays = []
-    for img in imgs:
-        coords = solve_general(basis, img)
-        fib_rays.append(primitive_part(tuple(int(x) for x in coords)))
+    # u·G·v = diag, G with the images as columns: the first fdim columns of
+    # u^-1 span their saturation, in which img has coordinates (u·img)[:fdim].
+    diag, u, _, uinv = smith_normal_form(tuple(zip(*imgs)))
+    fdim = sum(1 for x in diag if x)
+    basis = tuple(row[:fdim] for row in uinv)
+    fib_rays = [primitive_part(mat_vec(u[:fdim], img)) for img in imgs]
     fiber = build_fan(
         fdim, fib_rays, list(combinations(range(len(j_plus)), fdim))
     )

@@ -12,6 +12,7 @@ type is refused, never coerced.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from toricapprox.approx import (
@@ -67,14 +68,20 @@ def fan_from_doc(doc: dict) -> Fan:
     return build_fan(rank, rays, cones)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def divisor_from_doc(doc, n_rays=None) -> TorusDivisor:
-    """A JSON list of ints or "p/q" strings; an inexact JSON float is
-    refused.  Given `n_rays`, there must be one entry per ray."""
+    """A JSON list of ints or "p/q" strings ("3", "-1/2"); an inexact JSON
+    float, and a decimal or exponent string ("1.5", "1e5"), are refused.
+    Given `n_rays`, there must be one entry per ray."""
     if not isinstance(doc, list):
         raise TypeError(f"a divisor is a list, not {type(doc).__name__}")
     for s in doc:
         if type(s) is not int and not isinstance(s, str):
             raise TypeError(f"divisor entry {s!r} is not an int or a string")
+        if isinstance(s, str) and not _RATIONAL.fullmatch(s):
+            raise ValueError(f"divisor entry {s!r} is not an int or p/q string")
     d = TorusDivisor.of([Fraction(s) for s in doc])
     if n_rays is not None and len(d.coeffs) != n_rays:
         raise InputError(

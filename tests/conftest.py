@@ -215,3 +215,49 @@ def well_formed_weight_vectors(length: int, max_sum: int):
         if ok:
             out.append(q)
     return out
+
+
+def hermite_forms(n: int, dets):
+    """Every n x n integer matrix in row-style Hermite normal form whose
+    determinant is in `dets`: upper triangular, positive diagonal, each
+    entry above the diagonal reduced modulo the diagonal entry below it.
+
+    Each is the unique such form of its orbit under left multiplication by
+    GL(n, Z), so H -> H^-1·Z^n runs once over the lattices that contain
+    Z^n with index det H; H·v is v written in a basis of that lattice."""
+    from itertools import product
+    from math import prod
+
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in product(range(1, max(dets) + 1), repeat=n):
+        if prod(diag) not in dets:
+            continue
+        for vals in product(*(range(diag[j]) for _, j in above)):
+            h = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), x in zip(above, vals):
+                h[i][j] = x
+            yield tuple(map(tuple, h))
+
+
+def fake_wps_suite(max_index: int = 6):
+    """Fake weighted projective spaces of rank 2 and 3.
+
+    The rays of wps_fan(q), for every well-formed q of length 3 (sum <= 16)
+    and of length 4 (sum <= 9), are mapped by every Hermite form
+    (`hermite_forms`) of determinant 2..max_index; a fan is kept when every
+    ray image is primitive.  Each is then the fan of a fake weighted
+    projective space with weights q whose cover lattice has that index,
+    and each such lattice appears once: 1523 fans for max_index 6.
+    """
+    from math import gcd
+
+    from toricapprox.linalg import mat_vec
+
+    out = []
+    for q in well_formed_weight_vectors(3, 16) + well_formed_weight_vectors(4, 9):
+        base = wps_fan(q)
+        for h in hermite_forms(base.rank, range(2, max_index + 1)):
+            rays = [mat_vec(h, v) for v in base.rays]
+            if all(gcd(*v) == 1 for v in rays):
+                out.append(build_fan(base.rank, rays, base.max_cones))
+    return out

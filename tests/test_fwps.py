@@ -101,6 +101,22 @@ def test_mu_p_residues_and_torus_curve(p2_mu3):
     assert cert.curve.tau == ()
 
 
+@pytest.mark.parametrize("name", ["wps123", "p2", "p2_mu9"])
+def test_mu_p_residues_rejects_other_spaces(name, request):
+    # A weighted space, P^2 itself, and a quotient of composite order.
+    fan = wps_fan((1, 2, 3)) if name == "wps123" else request.getfixturevalue(name)
+    with pytest.raises(NotPnModP):
+        mu_p_residues(recognize_fwps(fan))
+
+
+@pytest.mark.parametrize("name, expect", [
+    ("p2_mu3", (2, 1, 0)),
+    ("p3_mu2", (1, 1, 0, 0)),
+])
+def test_mu_p_residues_of_prime_quotients(name, expect, request):
+    assert mu_p_residues(recognize_fwps(request.getfixturevalue(name))) == expect
+
+
 def test_mu_p_torus_curve_rejects_weighted(wps4713):
     data = recognize_fwps(wps4713)
     with pytest.raises(NotPnModP):

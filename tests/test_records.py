@@ -26,7 +26,7 @@ RECORD_NAMES = {
     casestudy: "WeightedForm TangentReport Candidate CaseStudyReport",
     divisor: "TorusDivisor SupportFunction WallCurve OnePsCurve",
     fan: "Fan StarFanResult FwpsData",
-    fwps: "CurveCertificate MuPAction _Intermediate FiberData",
+    fwps: "CurveCertificate MuPAction FiberData",
     lattice: "QuotientMap",
     mmp: "ExtremalRay ContractionResult FlipResult MmpStepRecord MmpChain",
 }

@@ -296,6 +296,25 @@ def test_cli_divisor_float_entry_exit_3(p2_files, tmp_path, capsys):
     assert main(["divisor-nef", "--fan", fan, "--divisor", good]) == EXIT_OK
 
 
+@pytest.mark.parametrize("entry", ["1.5", "1e5", "1_0", " 2 "])
+def test_cli_divisor_decimal_string_exit_3(p2_files, tmp_path, capsys, entry):
+    # Only an optional sign, digits and an optional /digits are accepted.
+    fan, _ = p2_files
+    bad = _write(tmp_path, "bad.json", [entry, 0, 0])
+    assert main(["divisor-nef", "--fan", fan, "--divisor", bad]) == EXIT_INPUT
+    assert "invalid divisor" in _input_error(capsys)
+
+
+def test_cli_divisor_huge_exponent_exit_3(p2_files, tmp_path, capsys):
+    # Fraction("1e10000000") alone builds a ten-million-digit integer.
+    fan, _ = p2_files
+    bad = _write(tmp_path, "bad.json", ["1e10000000", 0, 0])
+    assert main(["divisor-nef", "--fan", fan, "--divisor", bad]) == EXIT_INPUT
+    assert "invalid divisor" in _input_error(capsys)
+    good = _write(tmp_path, "good.json", ["+2", "-1/2", "007"])
+    assert main(["divisor-nef", "--fan", fan, "--divisor", good]) == EXIT_OK
+
+
 def _assert_divisor_refused(p2_files, tmp_path, capsys, doc):
     fan, _ = p2_files
     bad = _write(tmp_path, "not_a_list.json", doc)
