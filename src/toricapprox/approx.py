@@ -205,6 +205,12 @@ def transport_curve(step: MmpStepRecord, cert: CurveCertificate) -> CurveCertifi
     raise ApproxError("Mori fiber steps are always terminal for P")
 
 
+def _discrepancy(y: Fan, v_e) -> Fraction:
+    """-1 - phi_{K_Y}(v_e): the discrepancy r in K_X = psi*K_Y + r·E of the
+    divisor E that a divisorial contraction X -> Y collapses to v_e."""
+    return Fraction(-1) - support_function(y, canonical_divisor(y))(v_e)
+
+
 def _transport_divisorial(step, cert):
     res: ContractionResult = step.result
     x, y = res.source, res.target
@@ -215,9 +221,7 @@ def _transport_divisorial(step, cert):
         raise OrbitInExc(f"orbit cone {tau_x} is not a cone upstream")
     curve = OnePsCurve(tau_x, cert.curve.w)
     e = res.exc_cone[0]
-    k_y = canonical_divisor(y)
-    # K_X = psi*K_Y + r·E: read r off the support function at the collapsed ray.
-    r = Fraction(-1) - support_function(y, k_y)(x.rays[e])
+    r = _discrepancy(y, x.rays[e])
     check(r > 0, "the discrepancy of a terminal divisorial step is positive")
     e_deg = one_ps_degree(x, ray_divisor(x, e), curve)
     check(e_deg >= 0, "the curve avoids E, so E·C >= 0")
@@ -299,7 +303,7 @@ def pn_blowup_line(res: ContractionResult, p_orbit: Sequence = ()) -> CurveCerti
     k, _, num = y.cone_containing(v_e)
     sigma_z = tuple(i for i, t in zip(y.max_cones[k], num) if t > 0)
     k_y = canonical_divisor(y)
-    disc = Fraction(-1) - support_function(y, k_y)(v_e)
+    disc = _discrepancy(y, v_e)
     w = primitive_part(
         tuple(sum(y.rays[i][r] for i in sigma_z) for r in range(n))
     )

@@ -4,6 +4,9 @@ K-negative extremal rays of the Mori cone, contraction classification,
 divisorial contractions, Mori fiber quotients, flips (validated by the
 pullback identity on a common star subdivision), the a-value step, and the
 full chain runner tracking a point's orbit cone.
+
+All three kinds of elementary step rewrite the fan by one circuit exchange
+(Reid 1983), `_exchange`, which checks every kind the same way.
 """
 
 from __future__ import annotations
@@ -159,47 +162,54 @@ class ContractionResult(namedtuple(
     __slots__ = ()
 
 
+def _exchange(fan: Fan, ray: ExtremalRay):
+    """(cones, links) of ray's elementary step, by the circuit exchange.
+
+    Each maximal cone containing J- = ray.j_minus must be (circuit - j) +
+    link for some j in J+ = ray.j_plus, and each link must carry all |J+|
+    of them (checked; NotExtremal otherwise).  The step swaps them for
+    (circuit - j) + link, j in J- (Reid, "Decomposition of toric morphisms",
+    1983; Cox, Little and Schenck, *Toric Varieties*, 15.4).  cones: the
+    other maximal cones in fan order, then the swapped ones link by link;
+    links: in order of first appearance.  A Mori fiber step has J- empty.
+    """
+    j_minus, j_plus = set(ray.j_minus), ray.j_plus
+    circuit = j_minus.union(j_plus)
+    kept, around = [], {}
+    for c in fan.max_cones:
+        if j_minus <= set(c):
+            around.setdefault(tuple(sorted(set(c) - circuit)), set()).add(c)
+        else:
+            kept.append(c)
+    if not around:
+        raise NotExtremal("exceptional cone is not in the fan")
+    for link, cones in around.items():
+        if cones != {tuple(sorted((circuit - {j}).union(link))) for j in j_plus}:
+            raise NotExtremal(
+                "circuit is not fully triangulated around the exceptional cone"
+            )
+    swapped = [
+        tuple(sorted((circuit - {j}).union(link)))
+        for link in around for j in ray.j_minus
+    ]
+    return kept + swapped, tuple(around)
+
+
 def _contract_divisorial(fan: Fan, ray: ExtremalRay) -> ContractionResult:
     e = ray.j_minus[0]
-    cls = primitive_part(ray.curve.relation)
-    collapsed_walls = [
-        c for c in wall_curves(fan) if primitive_part(c.relation) == cls
-    ]
-    # Union-find over maximal cones across walls whose curve is contracted.
-    parent = {c: c for c in fan.max_cones}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for w in collapsed_walls:
-        a, b = find(w.cone_a), find(w.cone_b)
-        if a != b:
-            parent[a] = b
-    groups = {}
-    for c in fan.max_cones:
-        groups.setdefault(find(c), set()).update(c)
-    new_rays = [v for i, v in enumerate(fan.rays) if i != e]
-    ray_map = []
-    j = 0
-    for i in range(len(fan.rays)):
-        ray_map.append(None if i == e else j)
-        j += 0 if i == e else 1
-    new_cones = set()
-    for members in groups.values():
-        members.discard(e)
-        new_cones.add(tuple(sorted(ray_map[i] for i in members)))
-    target = build_fan(fan.rank, new_rays, sorted(new_cones))
-    return ContractionResult(
-        DIVISORIAL, fan, target, tuple(ray_map), (e,)
+    cones, _ = _exchange(fan, ray)
+    ray_map = tuple(None if i == e else i - (i > e) for i in range(len(fan.rays)))
+    target = build_fan(
+        fan.rank,
+        [v for i, v in enumerate(fan.rays) if i != e],
+        sorted({tuple(sorted(ray_map[i] for i in c)) for c in cones}),
     )
+    return ContractionResult(DIVISORIAL, fan, target, ray_map, (e,))
 
 
 def _contract_mori_fiber(fan: Fan, ray: ExtremalRay) -> ContractionResult:
-    gens = [fan.rays[i] for i in ray.j_plus]
-    quot = _quotient_by_span(gens, fan.rank)
+    _, links = _exchange(fan, ray)
+    quot = _quotient_by_span([fan.rays[i] for i in ray.j_plus], fan.rank)
     ray_map = [None] * len(fan.rays)
     new_rays = []
     seen = {}
@@ -212,17 +222,11 @@ def _contract_mori_fiber(fan: Fan, ray: ExtremalRay) -> ContractionResult:
             seen[p] = len(new_rays)
             new_rays.append(p)
         ray_map[i] = seen[p]
-    if quot.rank == 0:
-        target = build_fan(0, (), ((),))
-    else:
-        new_cones = set()
-        for c in fan.max_cones:
-            imgs = tuple(
-                sorted({ray_map[i] for i in c if ray_map[i] is not None})
-            )
-            if len(imgs) == quot.rank:
-                new_cones.add(imgs)
-        target = build_fan(quot.rank, new_rays, sorted(new_cones))
+    target = build_fan(
+        quot.rank,
+        new_rays,
+        sorted({tuple(sorted(ray_map[i] for i in link)) for link in links}),
+    )
     return ContractionResult(
         MORI_FIBER,
         fan,
@@ -312,29 +316,8 @@ def flip(fan: Fan, ray: ExtremalRay) -> FlipResult:
     # divisor making the pullback identity exact, where kappa normalizes
     # the wall relation against the actual curve class of the wall.
     kappa = rel[ray.curve.off_a] * ray.curve.beta_a
-    # Replace each maximal cone containing the exceptional cone: such a cone
-    # is (circuit minus one positive ray) plus link rays; the flipped fan
-    # uses (circuit minus one negative ray) plus the same link.
-    circuit = set(j_minus) | set(j_plus)
-    region = [c for c in fan.max_cones if set(j_minus) <= set(c)]
-    if not region:
-        raise NotFlip("exceptional cone is not in the fan")
-    links = {}
-    for c in region:
-        link = tuple(sorted(set(c) - circuit))
-        links.setdefault(link, []).append(c)
-    new_cones = [c for c in fan.max_cones if c not in region]
-    for link, cones in links.items():
-        expected = {
-            tuple(sorted((circuit - {i}) | set(link))) for i in j_plus
-        }
-        if set(cones) != expected:
-            raise NotFlip(
-                "circuit is not fully triangulated around the exceptional cone"
-            )
-        for j in j_minus:
-            new_cones.append(tuple(sorted((circuit - {j}) | set(link))))
-    target = build_fan(fan.rank, fan.rays, new_cones)
+    cones, _ = _exchange(fan, ray)
+    target = build_fan(fan.rank, fan.rays, cones)
     star_src, _ = star_subdivision(fan, wstar)
     star_tgt, _ = star_subdivision(target, wstar)
     if set(star_src.max_cones) != set(star_tgt.max_cones):

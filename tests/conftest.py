@@ -83,6 +83,28 @@ def francia():
     )
 
 
+def twisted_prism(perturbed: bool = False) -> Fan:
+    """A complete simplicial threefold fan that is not projective.
+
+    Two triangles, at heights -1 and 1, joined by a twisted band of
+    triangles.  Its three wall classes (-1,1,0,1,-1,0), (0,-1,1,0,1,-1)
+    and (1,0,-1,-1,0,1) sum to 0, so NE(X) contains a line; all three are
+    flips with K·C = 0, so no extremal ray is K-negative.  `perturbed`
+    moves the rays keeping the cones: then one extremal ray is a K-negative
+    flip, and the chain on D = 0 runs a flip, a divisorial contraction and
+    a Mori fiber step.
+    """
+    rays = (
+        [(1, -1, -1), (-1, 2, -1), (-1, -1, -1), (2, 0, 1), (0, 1, 1), (-1, 0, 1)]
+        if perturbed else
+        [(1, 0, -1), (0, 1, -1), (-1, -1, -1), (1, 0, 1), (0, 1, 1), (-1, -1, 1)]
+    )
+    return build_fan(3, rays, [
+        (0, 1, 2), (3, 4, 5), (0, 1, 4), (0, 3, 4),
+        (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5),
+    ])
+
+
 def subdivided_fan_with_nef(rng, base: Fan, base_divisor: TorusDivisor, steps: int):
     """Star-subdivide a fan repeatedly, pulling the nef divisor back exactly.
 

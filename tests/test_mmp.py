@@ -8,7 +8,7 @@ import pytest
 
 import mmp_oracle
 import toricapprox.mmp as mmp
-from conftest import random_fan_suite
+from conftest import random_fan_suite, smooth_surface_suite, twisted_prism
 from toricapprox.divisor import (
     TorusDivisor,
     canonical_divisor,
@@ -18,7 +18,12 @@ from toricapprox.divisor import (
     support_function,
     wall_curves,
 )
-from toricapprox.fan import is_projective_space
+from toricapprox.fan import (
+    build_fan,
+    is_projective_space,
+    projective_space_fan,
+    wps_fan,
+)
 from toricapprox.fwps import fiber_fwps
 from toricapprox.mmp import (
     DIVISORIAL,
@@ -155,22 +160,14 @@ def test_step_a_f1(f1):
 
 
 def test_step_a_needs_k_negative_ray():
-    # A fan whose every extremal class is K-trivial or positive does not
-    # exist among Fano-type fixtures; simulate by shifting to -K nef failing.
-    # Instead verify the error path on a fan where all rays are K-positive:
-    # none exists for complete toric surfaces (always uniruled), so check
-    # the exception type is raised for an empty candidate list via monkeypatch.
-    import toricapprox.mmp as mmp
-
-    orig = mmp.mori_extremal_rays
-    try:
-        mmp.mori_extremal_rays = lambda fan: ()
+    # The twisted prism is complete and simplicial, but not projective: its
+    # extremal rays are all K-trivial.  (On projective input -K is big, so
+    # some extremal ray is K-negative.)
+    prism = twisted_prism()
+    assert not any(r.is_k_negative for r in mori_extremal_rays(prism))
+    for d in (TorusDivisor.of([1] * 6), TorusDivisor.of([0] * 6)):
         with pytest.raises(NoKNegativeRay):
-            from toricapprox.fan import projective_space_fan
-
-            step_a(projective_space_fan(2), TorusDivisor.of([1, 0, 0]))
-    finally:
-        mmp.mori_extremal_rays = orig
+            step_a(prism, d)
 
 
 def test_orbit_in_exc():
@@ -312,3 +309,56 @@ def test_classification_runs_one_lp(monkeypatch, p2, f1, francia):
         calls.clear()
         classify_contraction(fan, ray)
         assert len(calls) == lps, fan
+
+
+def test_steps_match_the_union_find_oracle(francia):
+    # Every K-negative extremal ray's step against the oracle's own route to
+    # the target: union-find across the walls of the contracted class, and
+    # the full-rank image filter for Mori fiber bases.
+    chain = run_mmp_chain(twisted_prism(True), TorusDivisor.of([0] * 6), ())
+    fans = (
+        [fan for fan, _ in random_fan_suite(random.Random(1), 30)]
+        + [fan for fan, _ in smooth_surface_suite(2, 1)]
+        + [francia, twisted_prism()] + [s.fan for s in chain.steps]
+        + [projective_space_fan(n) for n in range(1, 5)]
+        + [wps_fan(q) for q in ((1, 1, 2), (1, 2, 3), (4, 7, 13), (1, 1, 1, 2),
+                                (1, 2, 3, 5))]
+    )
+    seen = Counter()
+    for fan in fans:
+        for ray in mori_extremal_rays(fan):
+            if not ray.is_k_negative:
+                continue
+            if ray.kind == FLIP:
+                target = flip(fan, ray).target
+                assert target.rays == fan.rays, (fan, ray)
+                assert set(target.max_cones) == mmp_oracle.flip_cones(fan, ray)
+            else:
+                res = contract(fan, ray)
+                target, ray_map = mmp_oracle.contract(fan, ray)
+                assert (res.target.rank, res.target.rays, res.target.max_cones,
+                        res.ray_map) == (target.rank, target.rays,
+                                         target.max_cones, ray_map), (fan, ray)
+            seen[ray.kind] += 1
+    assert set(seen) == {MORI_FIBER, DIVISORIAL, FLIP}, seen
+
+
+def test_every_step_kind_checks_its_circuit(p2, f1):
+    # A caller's ray whose J- does not match its relation passes the
+    # classification (its class is extremal and K-negative), but the
+    # circuit exchange refuses it, whichever kind its J- makes it.
+    surface = build_fan(2, [(-2, -3), (1, 0), (0, 1), (1, 2), (3, 4)],
+                        [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)])
+    (mf,) = mori_extremal_rays(p2)
+    div = next(r for r in mori_extremal_rays(f1) if r.kind == DIVISORIAL)
+    div2 = next(r for r in mori_extremal_rays(surface)
+                if r.curve.relation == (1, 0, -1, 2, 0))
+    cases = [
+        (contract, surface, div2._replace(j_minus=()), "fully triangulated"),
+        (contract, p2, mf._replace(j_minus=(0,)), "fully triangulated"),
+        (flip, p2, mf._replace(j_minus=(0, 2)), "fully triangulated"),
+        (flip, f1, div._replace(j_minus=(0, 2)), "not in the fan"),
+    ]
+    for step, fan, ray, message in cases:
+        with pytest.raises(NotExtremal, match=message):
+            step(fan, ray)
