@@ -27,6 +27,7 @@ from toricapprox.divisor import (  # noqa: F401
     one_ps_intersections,
     ray_divisor,
     support_function,
+    support_value,
     wall_curves,
 )
 from toricapprox.mmp import (  # noqa: F401

@@ -20,7 +20,7 @@ from toricapprox.divisor import (
     canonical_divisor,
     one_ps_degree,
     ray_divisor,
-    support_function,
+    support_value,
 )
 from toricapprox.fwps import (
     CurveCertificate,
@@ -208,7 +208,7 @@ def transport_curve(step: MmpStepRecord, cert: CurveCertificate) -> CurveCertifi
 def _discrepancy(y: Fan, v_e) -> Fraction:
     """-1 - phi_{K_Y}(v_e): the discrepancy r in K_X = psi*K_Y + r·E of the
     divisor E that a divisorial contraction X -> Y collapses to v_e."""
-    return Fraction(-1) - support_function(y, canonical_divisor(y))(v_e)
+    return Fraction(-1) - support_value(y, canonical_divisor(y), v_e)
 
 
 def _transport_divisorial(step, cert):

@@ -75,6 +75,24 @@ def linear_equivalence(fan: Fan, d1: TorusDivisor, d2: TorusDivisor):
     return solve_general(rows, target)
 
 
+def support_value(fan: Fan, d: TorusDivisor, point: Sequence) -> Fraction:
+    """phi_D(point), by the point's barycentric coordinates in its cone.
+
+    With (k, D, R·point) = fan.cone_containing(point), the point is the sum
+    of (R·point)_i / D times the i-th ray of sigma = fan.max_cones[k], so
+    phi_D(point) = sum (R·point)_i d_{sigma_i} / D (Cox, Little and Schenck,
+    *Toric Varieties*, section 4.2).  Nothing is built or memoized.
+    """
+    found = fan.cone_containing(point)
+    if found is None:
+        raise DivisorError(f"{point} is outside the fan support")
+    k, det, scaled = found
+    coeffs = d.coeffs
+    return Fraction(
+        sum(x * coeffs[i] for x, i in zip(scaled, fan.max_cones[k])), det
+    )
+
+
 class SupportFunction(namedtuple(
     "SupportFunction",
     "fan divisor functionals cartier_index",
@@ -83,7 +101,10 @@ class SupportFunction(namedtuple(
 
     functionals[k] is u_sigma for fan.max_cones[k], characterized by
     <u_sigma, v_i> = d_i for every ray i of sigma.  cartier_index is the
-    least positive integer clearing all denominators.
+    least positive integer clearing all denominators.  The functionals
+    serve the readers of every cone's u_sigma, `is_nef`'s convexity test
+    and `intersect`'s bend.  Calling the record evaluates phi at a point
+    through `support_value`, by barycentric coordinates.
     """
 
     __slots__ = ()
@@ -92,10 +113,7 @@ class SupportFunction(namedtuple(
         return self.functionals[self.fan.max_cones.index(cone)]
 
     def __call__(self, point: Sequence) -> Fraction:
-        found = self.fan.cone_containing(point)
-        if found is None:
-            raise DivisorError(f"{point} is outside the fan support")
-        return Fraction(vec_dot(self.functionals[found[0]], point))
+        return support_value(self.fan, self.divisor, point)
 
 
 @per_fan
@@ -103,6 +121,9 @@ def support_function(fan: Fan, d: TorusDivisor) -> SupportFunction:
     """The unique function linear on each maximal cone with value d_i at v_i.
 
     With D and R = D·M^-1 the cone's integer inverse, u_sigma = R^T·d / D.
+    The record is memoized on the fan for the readers of every functional
+    (`is_nef`, `intersect`); phi at a point is `support_value`, by
+    barycentric coordinates, which builds nothing.
     """
     n = fan.rank
     functionals = []
@@ -283,15 +304,16 @@ def one_ps_degree(fan: Fan, d: TorusDivisor, c: OnePsCurve) -> Fraction:
 
     For tau = 0 this is phi(w) + phi(-w) with phi the support function of
     D; for tau != 0 the divisor is first restricted to the orbit closure
-    V(tau) and the rank-reduced formula is applied there.
+    V(tau) and the rank-reduced formula is applied on the star fan.  Each
+    phi value is `support_value`: barycentric coordinates of the point in
+    the cone containing it, so no per-cone functionals are built (those
+    serve `is_nef` and `intersect`).
     """
     w = primitive_part(c.w)
-    if not c.tau:
-        sf = support_function(fan, d)
-        return sf(w) + sf(tuple(-x for x in w))
-    star, restricted = restrict_to_orbit_closure(fan, d, c.tau)
-    sub = support_function(star.fan, restricted)
-    return sub(w) + sub(tuple(-x for x in w))
+    if c.tau:
+        star, d = restrict_to_orbit_closure(fan, d, c.tau)
+        fan = star.fan
+    return support_value(fan, d, w) + support_value(fan, d, tuple(-x for x in w))
 
 
 def one_ps_intersections(fan: Fan, c: OnePsCurve) -> tuple:

@@ -150,12 +150,12 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 class QuotientMap(namedtuple(
     "QuotientMap",
-    "projection rank kernel_basis lift",
+    "projection rank lift",
 )):
     """Projection of Z^n onto a torsion-free quotient Z^n / sat(<kernel>).
 
-    projection is (rank x n); kernel_basis is a basis of the saturated
-    kernel; lift is an (n x rank) section with projection·lift = identity.
+    projection is (rank x n) and kills the kernel; lift is an (n x rank)
+    section with projection·lift = identity.
     """
 
     __slots__ = ()
@@ -176,17 +176,15 @@ def _quotient_by_span(gens: Sequence[Sequence[int]], ambient_rank: int) -> Quoti
     k = rank(gens) if gens else 0
     q = ambient_rank - k
     if not gens:
-        return QuotientMap(identity(ambient_rank), ambient_rank, (), identity(ambient_rank))
+        return QuotientMap(identity(ambient_rank), ambient_rank, identity(ambient_rank))
     # Columns of the matrix are the generators; u rotates Z^n so that the
     # saturated span becomes the first k coordinates.
     cols = tuple(zip(*gens))
     _, u, _, uinv = smith_normal_form(cols)
     proj = tuple(u[k:])
-    # The columns of u^-1 give the kernel basis and the section.
-    n = ambient_rank
-    kernel_basis = tuple(tuple(uinv[i][j] for i in range(n)) for j in range(k))
-    lift = tuple(tuple(uinv[i][k + j] for j in range(q)) for i in range(n))
-    return QuotientMap(proj, q, kernel_basis, lift)
+    # The last q columns of u^-1 give the section.
+    lift = tuple(tuple(row[k:]) for row in uinv)
+    return QuotientMap(proj, q, lift)
 
 
 def quotient_lattice(kernel_gens: Sequence[Sequence[int]], ambient_rank: int) -> QuotientMap:

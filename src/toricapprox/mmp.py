@@ -31,7 +31,7 @@ from toricapprox.divisor import (
     intersect,
     is_nef,
     ray_divisor,
-    support_function,
+    support_value,
     wall_curves,
 )
 
@@ -73,14 +73,14 @@ DIVISORIAL = "Divisorial"
 FLIP = "Flip"
 
 
-class ExtremalRay(namedtuple("ExtremalRay", "curve j_minus k_degree")):
+class ExtremalRay(namedtuple("ExtremalRay", "curve k_degree")):
     """An extreme ray of the Mori cone, represented by a wall curve.
 
-    curve: the WallCurve; j_minus: ray indices with negative relation
-    coefficient, which span the exceptional cone; k_degree: K·C.  The
-    circuit (j_minus, j_plus) of the wall relation fixes the kind of the
-    contraction: MoriFiber when no coefficient is negative (the exceptional
-    locus is all of X), Divisorial when exactly one is, Flip otherwise.
+    curve: the WallCurve; k_degree: K·C.  The circuit (j_minus, j_plus) is
+    read off the wall relation, so it always matches the curve; it fixes
+    the kind of the contraction: MoriFiber when no coefficient is negative
+    (the exceptional locus is all of X), Divisorial when exactly one is,
+    Flip otherwise.
     """
 
     __slots__ = ()
@@ -88,6 +88,12 @@ class ExtremalRay(namedtuple("ExtremalRay", "curve j_minus k_degree")):
     @property
     def is_k_negative(self) -> bool:
         return self.k_degree < 0
+
+    @property
+    def j_minus(self) -> tuple:
+        """Ray indices with negative relation coefficient, which span the
+        exceptional cone."""
+        return self.curve.negative_rays
 
     @property
     def j_plus(self) -> tuple:
@@ -127,7 +133,7 @@ def mori_extremal_rays(fan: Fan) -> tuple:
     by_class = _wall_classes(fan)
     k = canonical_divisor(fan)
     return tuple(
-        ExtremalRay(c, c.negative_rays, intersect(fan, k, c))
+        ExtremalRay(c, intersect(fan, k, c))
         for cls, c in by_class.items()
         if _is_extremal(by_class, cls)
     )
@@ -261,9 +267,11 @@ def push_divisor(res: ContractionResult, d: TorusDivisor) -> TorusDivisor:
         out = TorusDivisor(tuple(coeffs))
         # Exactness: the target support function must reproduce the
         # collapsed ray's coefficient.
-        sf = support_function(target, out)
         e = res.exc_cone[0]
-        check(sf(fan.rays[e]) == d.coeffs[e], "divisor is not a pullback")
+        check(
+            support_value(target, out, fan.rays[e]) == d.coeffs[e],
+            "divisor is not a pullback",
+        )
         return out
     # Mori fiber: coefficients descend along the quotient with the index of
     # each ray image; rays collapsing to 0 must carry coefficient 0.
@@ -344,8 +352,8 @@ def _check_flip_identity(res: FlipResult, ray: ExtremalRay):
     """
     for i in range(len(res.source.rays)):
         f = ray_divisor(res.source, i)
-        phi_src = support_function(res.source, f)(res.new_ray)
-        phi_tgt = support_function(res.target, f)(res.new_ray)
+        phi_src = support_value(res.source, f, res.new_ray)
+        phi_tgt = support_value(res.target, f, res.new_ray)
         deg = intersect(res.source, f, ray.curve)
         if phi_src != phi_tgt - deg * res.dstar_multiple:
             raise IdentityFailure(

@@ -44,6 +44,7 @@ from toricapprox.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    rank,
     solve_general,
     vec_dot,
 )
@@ -152,9 +153,11 @@ def reference_fiber(fan, ray) -> FiberData:
     j_minus, j_plus = ray.j_minus, ray.j_plus
     quot = _quotient_by_span([fan.rays[i] for i in j_minus], fan.rank)
     imgs = [quot.apply(fan.rays[i]) for i in j_plus]
-    inner = _quotient_by_span(imgs, quot.rank)
-    basis = tuple(zip(*inner.kernel_basis))
-    fdim = quot.rank - inner.rank
+    # The first fdim columns of u^-1, for the Smith form u·M·v of the
+    # matrix M whose columns are the images, span their saturation.
+    fdim = rank(imgs)
+    _, _, _, uinv = smith_normal_form(tuple(zip(*imgs)))
+    basis = tuple(tuple(row[:fdim]) for row in uinv)
     fib_rays = []
     for img in imgs:
         coords = solve_general(basis, img)

@@ -53,9 +53,7 @@ def mori_extremal_rays(fan: Fan) -> tuple:
         if others and nonneg_combination(others, cls) is not None:
             continue
         c = by_class[cls]
-        out.append(
-            ExtremalRay(c, c.negative_rays, intersect(fan, k, c))
-        )
+        out.append(ExtremalRay(c, intersect(fan, k, c)))
     return tuple(out)
 
 

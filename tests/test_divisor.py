@@ -21,11 +21,26 @@ from toricapprox.divisor import (
     ray_divisor,
     restrict_to_orbit_closure,
     support_function,
+    support_value,
     wall_curves,
 )
-from toricapprox.fan import ConeNotInFan, star_fan, wps_fan
+from toricapprox.approx import theorem16_driver
+from toricapprox.fan import (
+    ConeNotInFan,
+    projective_space_fan,
+    recognize_fwps,
+    star_fan,
+    wps_fan,
+)
+from toricapprox.fwps import fwps_curve
 
-from conftest import all_orbit_cones, random_fan_suite, well_formed_weight_vectors
+from conftest import (
+    all_orbit_cones,
+    random_fan_suite,
+    smooth_surface_suite,
+    well_formed_weight_vectors,
+)
+from divisor_oracle import one_ps_degree_by_functionals, support_value_by_functionals
 from fan_oracle import reference_off_ray_index
 
 
@@ -208,3 +223,73 @@ def test_one_ps_intersections_match_per_ray_random_fans():
     rng = random.Random(7)
     for fan, _ in random_fan_suite(random.Random(4), 40):
         _check_one_pass(fan, rng)
+
+
+def _certificate_curves(fan, nef_divisors):
+    """The curve of every certificate the library makes on the fan: for
+    each orbit, `fwps_curve` on a (fake) weighted projective space (no nef
+    divisors given), else `theorem16_driver` for each nef divisor."""
+    for orbit in all_orbit_cones(fan):
+        if nef_divisors is None:
+            yield fwps_curve(recognize_fwps(fan), orbit).curve
+            continue
+        for d in nef_divisors:
+            res = theorem16_driver(fan, d, orbit, assume_canonically_bounded=True)
+            assert res.certificate.fan is fan
+            yield res.certificate.curve
+
+
+def _support_value_cases(francia, fake_wps):
+    """(fan, nef divisors or None for an fwps) over P^1-P^4, weighted and
+    fake weighted projective spaces, random_fan_suite, francia and
+    smooth_surface_suite(2, 1) (one nef divisor per fan, the last drawn)."""
+    wps = well_formed_weight_vectors(3, 12) + well_formed_weight_vectors(4, 8)
+    for fan in [projective_space_fan(n) for n in range(1, 5)] + [
+        wps_fan(q) for q in wps
+    ] + list(fake_wps):
+        yield fan, None
+    for fan, d in random_fan_suite(random.Random(2), 8):
+        yield fan, (d,)
+    francia_d = TorusDivisor.of([2, 4, 3, 3, 6])
+    yield francia, tuple(m * francia_d for m in (1, 2, 3))
+    for fan, nef in smooth_surface_suite(2, 1):
+        yield fan, nef[-1:]
+
+
+def test_support_value_matches_the_functional_route(francia, p2_mu3, p2_mu9, p3_mu2):
+    # Barycentric coordinates against the per-cone functionals: at every
+    # ray of the fan, and at every ray and at +-w of every certificate's
+    # curve on the star fan of its orbit, for -K, the nef divisors and
+    # seeded random rational divisors.  Each divisor's degree on a curve is
+    # also the sum of d_i·(D_i·C) from the one-pass intersection vector.
+    rng = random.Random(12)
+    curves = 0
+    for fan, nef in _support_value_cases(francia, (p2_mu3, p2_mu9, p3_mu2)):
+        divisors = [-1 * canonical_divisor(fan), *(nef or ())] + [
+            TorusDivisor.of(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in fan.rays
+            )
+            for _ in range(2)
+        ]
+        for d in divisors:
+            for v in fan.rays:
+                assert support_value(fan, d, v) == support_value_by_functionals(
+                    fan, d, v
+                )
+        for c in _certificate_curves(fan, nef):
+            curves += 1
+            inters = one_ps_intersections(fan, c)
+            neg_w = tuple(-x for x in c.w)
+            for d in divisors:
+                sub, sub_d = fan, d
+                if c.tau:
+                    star, sub_d = restrict_to_orbit_closure(fan, d, c.tau)
+                    sub = star.fan
+                for p in (*sub.rays, c.w, neg_w):
+                    assert support_value(sub, sub_d, p) == (
+                        support_value_by_functionals(sub, sub_d, p)
+                    ), (fan, d, c, p)
+                degree = one_ps_degree(fan, d, c)
+                assert degree == one_ps_degree_by_functionals(fan, d, c)
+                assert degree == sum(x * y for x, y in zip(d.coeffs, inters))
+    assert curves > 700, curves

@@ -99,10 +99,13 @@ def test_quotient_lattice_saturates():
         quotient_lattice([(1, 0), (1, 0)], 2)
 
 
-def test_quotient_lattice_kernel_basis_spans():
-    quot = quotient_lattice([(1, 3)], 2)
-    (k,) = quot.kernel_basis
-    assert k in ((1, 3), (-1, -3))
+def test_quotient_lattice_kills_its_kernel():
+    for gens, n in (([(1, 3)], 2), ([(1, 2, 3), (0, 1, 1)], 3), ([], 3)):
+        quot = quotient_lattice(gens, n)
+        assert quot.rank == n - len(gens)
+        for v in gens:
+            assert all(x == 0 for x in quot.apply(v))
+        assert mat_mul(quot.projection, quot.lift) == identity(quot.rank)
 
 
 def test_quotient_random_properties():

@@ -11,7 +11,12 @@ import toricapprox
 from conftest import all_orbit_cones
 from toricapprox import divisor, fan as fan_module
 from toricapprox.approx import theorem16_driver
-from toricapprox.divisor import TorusDivisor, support_function
+from toricapprox.divisor import (
+    TorusDivisor,
+    canonical_divisor,
+    one_ps_degree,
+    support_function,
+)
 from toricapprox.fan import (
     Fan,
     NotAFan,
@@ -56,6 +61,24 @@ def test_support_function_is_memoized_on_the_fan():
     hits = support_function.cache_info().hits
     assert support_function(fan, d) is first
     assert support_function.cache_info().hits == hits + 1
+
+
+def test_degrees_build_no_support_function(p2_mu3):
+    # A curve's degree reads phi_D at two points by barycentric
+    # coordinates: no per-cone SupportFunction is built for it, so none
+    # stays memoized on a fan (a star fan lives as long as the intern keeps
+    # it).  Only is_nef and intersect build them.
+    made = support_function.cache_info
+    for fan in (wps_fan((1, 2, 3, 5)), p2_mu3):
+        data = recognize_fwps(fan)
+        divisors = [canonical_divisor(fan), TorusDivisor.of(range(len(fan.rays)))]
+        for orbit in all_orbit_cones(fan):
+            before = made().currsize
+            curve = fwps_curve(data, orbit).curve
+            assert made().currsize == before, (fan.rays, orbit)
+            for d in divisors:
+                one_ps_degree(fan, d, curve)
+            assert made().currsize == before, (fan.rays, orbit)
 
 
 @pytest.mark.parametrize("module", [fan_module, divisor])

@@ -68,9 +68,7 @@ def test_classify_rejects_non_extremal(f1):
         a + b for a, b in zip(rays[0].curve.relation, rays[1].curve.relation)
     )
     fake = type(rays[0])(
-        curve=rays[0].curve._replace(relation=combo),
-        j_minus=tuple(i for i, b in enumerate(combo) if b < 0),
-        k_degree=Fraction(-1),
+        curve=rays[0].curve._replace(relation=combo), k_degree=Fraction(-1)
     )
     with pytest.raises(NotExtremal):
         classify_contraction(f1, fake)
@@ -255,13 +253,9 @@ def _wall_rays(fan):
     k = canonical_divisor(fan)
     curves = wall_curves(fan)
     neg = tuple(-b for b in curves[0].relation)
-    return [
-        ExtremalRay(c, c.negative_rays, intersect(fan, k, c)) for c in curves
-    ] + [ExtremalRay(
-        curves[0]._replace(relation=neg),
-        tuple(i for i, b in enumerate(neg) if b < 0),
-        Fraction(-1),
-    )]
+    return [ExtremalRay(c, intersect(fan, k, c)) for c in curves] + [
+        ExtremalRay(curves[0]._replace(relation=neg), Fraction(-1))
+    ]
 
 
 def _classification(fan, ray, fn):
@@ -343,22 +337,33 @@ def test_steps_match_the_union_find_oracle(francia):
     assert set(seen) == {MORI_FIBER, DIVISORIAL, FLIP}, seen
 
 
-def test_every_step_kind_checks_its_circuit(p2, f1):
-    # A caller's ray whose J- does not match its relation passes the
-    # classification (its class is extremal and K-negative), but the
-    # circuit exchange refuses it, whichever kind its J- makes it.
+def test_every_step_kind_checks_its_circuit(p2):
+    # The circuit of a ray is read off its relation, so a caller cannot
+    # hand the steps a ray whose J- disagrees with it.  The exchange's own
+    # guards are driven with wall curves that are not extremal, one of each
+    # kind: their circuits are not triangulated around J-, or J- spans no
+    # cone at all.
     surface = build_fan(2, [(-2, -3), (1, 0), (0, 1), (1, 2), (3, 4)],
                         [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)])
-    (mf,) = mori_extremal_rays(p2)
-    div = next(r for r in mori_extremal_rays(f1) if r.kind == DIVISORIAL)
-    div2 = next(r for r in mori_extremal_rays(surface)
-                if r.curve.relation == (1, 0, -1, 2, 0))
+    prism = twisted_prism()
+
+    def wall(fan, relation):
+        return next(c for c in wall_curves(fan) if c.relation == relation)
+
     cases = [
-        (contract, surface, div2._replace(j_minus=()), "fully triangulated"),
-        (contract, p2, mf._replace(j_minus=(0,)), "fully triangulated"),
-        (flip, p2, mf._replace(j_minus=(0, 2)), "fully triangulated"),
-        (flip, f1, div._replace(j_minus=(0, 2)), "not in the fan"),
+        (surface, wall(surface, (1, 2, 3, 0, 0)), MORI_FIBER,
+         "fully triangulated"),
+        (prism, wall(prism, (2, -1, 2, 0, 3, 0)), DIVISORIAL,
+         "fully triangulated"),
+        # The negative of the line class: J- is all three rays of P^2.
+        (p2, wall_curves(p2)[0]._replace(relation=(-1, -1, -1)), FLIP,
+         "not in the fan"),
     ]
-    for step, fan, ray, message in cases:
+    for fan, curve, kind, message in cases:
+        ray = ExtremalRay(curve, 0)
+        assert ray.kind == kind and ray.j_minus == curve.negative_rays
         with pytest.raises(NotExtremal, match=message):
-            step(fan, ray)
+            mmp._exchange(fan, ray)
+    (mf,) = mori_extremal_rays(p2)
+    with pytest.raises(ValueError, match="j_minus"):
+        mf._replace(j_minus=(0,))
